@@ -22,28 +22,12 @@
  * identical and recording the phase-time savings in
  * BENCH_session_reuse.json.
  *
- * --portfolio-bench runs every (kernel, property) query three times —
- * builtin solver alone, Z3 alone, and the racing portfolio backend —
- * verifying byte-identical verdicts and recording per-query and
- * aggregate solve times in BENCH_portfolio.json: the portfolio should
- * track min(builtin, z3) per query within racing overhead and beat
- * both single backends in aggregate.
- *
  * --serve-bench drives the corpus through an in-process gpumc-serve
  * Engine twice: a cold pass that populates the fingerprint result
  * cache and a warm pass that re-sends the identical request lines.
  * Every warm response must be a cache hit with a verdict byte-equal to
  * its cold twin, and the warm pass must be >= 10x faster; results land
  * in BENCH_serve.json.
- *
- * --clause-share-bench checks every kernel's three properties over
- * several rounds of *fresh* verifiers (the batch/serve pattern: equal
- * session keys, rebuilt pipelines), once with learned-clause sharing
- * off and once with it on: later rounds import the clauses earlier
- * rounds exported through the process-wide session store, so their
- * queries restart ahead. Verdicts must be identical round for round;
- * solve-time totals and the share counters land in
- * BENCH_clause_sharing.json.
  *
  * --engine-bench races the three verification engines — the SMT
  * verifier (builtin backend), the DPOR stateless model checker
@@ -59,16 +43,14 @@
  *
  * --smoke trims the corpus to two kernels so a bench entry can run in
  * seconds inside the test suite (for --engine-bench it shrinks the
- * stress sizes and budgets instead); --clause-share=MODE applies a
- * sharing mode to the table run and the session/portfolio benches (and
- * picks the "on" mode of the clause-share bench).
+ * stress sizes and budgets instead). Any other argument is rejected
+ * with exit code 2.
  */
 
 #include <deque>
 
 #include "bench/bench_util.hpp"
 #include "core/batch_verifier.hpp"
-#include "core/clause_share.hpp"
 #include "dpor/dpor_checker.hpp"
 #include "gpuverify/static_drf.hpp"
 #include "kernels/sync_kernels.hpp"
@@ -77,16 +59,12 @@
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
 #include "support/string_utils.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_budget.hpp"
 
 using namespace gpumc;
 using kernels::KernelGrid;
 
 namespace {
-
-/** Sharing mode applied by --clause-share=MODE to every gpumc query
- *  this binary issues (table run and benches alike). */
-smt::ClauseShareMode gClauseShare = smt::ClauseShareMode::Off;
 
 struct Kernel {
     std::string name;
@@ -349,7 +327,6 @@ runSessionBench(const std::vector<Kernel> &corpus, unsigned jobs)
 {
     core::VerifierOptions options;
     options.wantWitness = false;
-    options.clauseShare = gClauseShare;
     const core::Property props[] = {core::Property::Safety,
                                     core::Property::Liveness,
                                     core::Property::CatSpec};
@@ -476,163 +453,6 @@ runSessionBench(const std::vector<Kernel> &corpus, unsigned jobs)
          << ",\n  \"firstMismatch\": " << mismatchJson << "\n}\n";
     json.close();
     std::printf("(writing BENCH_session_reuse.json)\n");
-
-    return identical ? 0 : 1;
-}
-
-/** One backend's pass over the whole (kernel, property) query list. */
-struct PortfolioBenchPass {
-    double wallMs = 0;
-    double solveMs = 0;
-    std::vector<double> perQuerySolveMs;
-    std::vector<std::string> verdicts;
-};
-
-/**
- * Portfolio-vs-single-backend comparison: all three properties of
- * every supported kernel on shared incremental sessions, once per
- * backend (builtin, z3, portfolio). Queries run sequentially so each
- * race gets the machine to itself; the portfolio's helper lane draws
- * on the process thread budget. Writes BENCH_portfolio.json; fails if
- * any verdict differs between backends.
- */
-int
-runPortfolioBench(const std::vector<Kernel> &corpus)
-{
-    const core::Property props[] = {core::Property::Safety,
-                                    core::Property::Liveness,
-                                    core::Property::CatSpec};
-    const char *propNames[] = {"safety", "liveness", "catspec"};
-
-    std::vector<std::string> labels;
-    for (const Kernel &kernel : corpus) {
-        if (kernel.usesFloat)
-            continue;
-        for (size_t p = 0; p < 3; ++p)
-            labels.push_back(kernel.name + " " + propNames[p]);
-    }
-
-    auto runPass = [&](smt::BackendKind backend) {
-        PortfolioBenchPass pass;
-        Stopwatch wall;
-        for (const Kernel &kernel : corpus) {
-            if (kernel.usesFloat)
-                continue;
-            core::VerifierOptions options;
-            options.backend = backend;
-            options.wantWitness = false;
-            options.clauseShare = gClauseShare;
-            core::Verifier verifier(kernel.program, bench::vulkanModel(),
-                                    options);
-            std::vector<core::VerificationResult> results =
-                verifier.checkAll({props[0], props[1], props[2]});
-            for (const core::VerificationResult &result : results) {
-                double ms = result.stats.get("phaseSolveUs") / 1000.0;
-                pass.perQuerySolveMs.push_back(ms);
-                pass.solveMs += ms;
-                pass.verdicts.push_back(
-                    result.unknown
-                        ? "unknown"
-                        : std::string(result.holds ? "holds("
-                                                   : "fails(") +
-                              result.detail + ")");
-            }
-        }
-        pass.wallMs = wall.elapsedMs();
-        return pass;
-    };
-
-    PortfolioBenchPass builtin = runPass(smt::BackendKind::Builtin);
-    PortfolioBenchPass z3 = runPass(smt::BackendKind::Z3);
-    PortfolioBenchPass portfolio = runPass(smt::BackendKind::Portfolio);
-
-    bool identical =
-        builtin.verdicts.size() == labels.size() &&
-        z3.verdicts.size() == labels.size() &&
-        portfolio.verdicts.size() == labels.size();
-    std::string firstMismatch;
-    for (size_t i = 0; identical && i < labels.size(); ++i) {
-        if (portfolio.verdicts[i] != builtin.verdicts[i] ||
-            portfolio.verdicts[i] != z3.verdicts[i]) {
-            identical = false;
-            firstMismatch = labels[i];
-        }
-    }
-
-    // Per-query: the race should track the faster lane. "Within
-    // noise" allows the cancellation/thread-handoff overhead — a
-    // fixed 2 ms slack plus half the faster lane again.
-    size_t withinNoise = 0;
-    double bestSingleSum = 0;
-    for (size_t i = 0; i < labels.size(); ++i) {
-        double best = std::min(builtin.perQuerySolveMs[i],
-                               z3.perQuerySolveMs[i]);
-        bestSingleSum += best;
-        if (portfolio.perQuerySolveMs[i] <= best * 1.5 + 2.0)
-            withinNoise++;
-    }
-
-    std::printf("Portfolio bench: %zu queries over %zu kernels "
-                "(3 properties each)\n\n",
-                labels.size(), labels.size() / 3);
-    std::printf("%-10s %12s %12s\n", "BACKEND", "solve ms", "wall ms");
-    std::printf("%-10s %12.1f %12.1f\n", "builtin", builtin.solveMs,
-                builtin.wallMs);
-    std::printf("%-10s %12.1f %12.1f\n", "z3", z3.solveMs, z3.wallMs);
-    std::printf("%-10s %12.1f %12.1f\n", "portfolio", portfolio.solveMs,
-                portfolio.wallMs);
-    std::printf("\nper-query best single backend, summed: %.1f ms\n",
-                bestSingleSum);
-    std::printf("portfolio within noise of the faster lane: %zu/%zu "
-                "queries\n",
-                withinNoise, labels.size());
-    std::printf("aggregate speedup vs best single backend: %.2fx\n",
-                portfolio.solveMs > 0
-                    ? std::min(builtin.solveMs, z3.solveMs) /
-                          portfolio.solveMs
-                    : 0.0);
-    std::printf("verdicts: %s\n",
-                identical ? "identical across all three backends"
-                          : ("MISMATCH at " + firstMismatch).c_str());
-
-    std::ofstream json("BENCH_portfolio.json");
-    auto passJson = [&](const char *name,
-                        const PortfolioBenchPass &pass) {
-        json << "  " << jsonString(name)
-             << ": {\"solveMs\": " << pass.solveMs
-             << ", \"wallMs\": " << pass.wallMs << "}";
-    };
-    json << "{\n  \"queries\": " << labels.size()
-         << ",\n  \"kernels\": " << labels.size() / 3 << ",\n";
-    passJson("builtin", builtin);
-    json << ",\n";
-    passJson("z3", z3);
-    json << ",\n";
-    passJson("portfolio", portfolio);
-    json << ",\n  \"bestSingleSolveMs\": " << bestSingleSum
-         << ",\n  \"aggregateSpeedupVsBestSingle\": "
-         << (portfolio.solveMs > 0
-                 ? std::min(builtin.solveMs, z3.solveMs) /
-                       portfolio.solveMs
-                 : 0.0)
-         << ",\n  \"withinNoiseQueries\": " << withinNoise
-         << ",\n  \"noiseModel\": \"portfolio <= 1.5 * "
-            "min(builtin, z3) + 2 ms\""
-         << ",\n  \"verdictsIdentical\": "
-         << (identical ? "true" : "false") << ",\n  \"firstMismatch\": "
-         << (identical ? "null" : jsonString(firstMismatch))
-         << ",\n  \"perQuery\": [\n";
-    for (size_t i = 0; i < labels.size(); ++i) {
-        json << "    {\"label\": " << jsonString(labels[i])
-             << ", \"builtinMs\": " << builtin.perQuerySolveMs[i]
-             << ", \"z3Ms\": " << z3.perQuerySolveMs[i]
-             << ", \"portfolioMs\": " << portfolio.perQuerySolveMs[i]
-             << ", \"verdict\": " << jsonString(portfolio.verdicts[i])
-             << "}" << (i + 1 < labels.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    json.close();
-    std::printf("(writing BENCH_portfolio.json)\n");
 
     return identical ? 0 : 1;
 }
@@ -791,174 +611,6 @@ runServeBench(const std::vector<Kernel> &corpus, unsigned jobs)
     std::printf("(writing BENCH_serve.json)\n");
 
     return identical && allWarmHits && fastEnough ? 0 : 1;
-}
-
-/** One sharing mode's pass of the clause-share bench. */
-struct ClauseShareBenchPass {
-    double wallMs = 0;
-    double solveMs = 0;
-    int64_t conflicts = 0;
-    int64_t exported = 0;
-    int64_t imported = 0;
-    int64_t rejected = 0;
-    std::vector<double> perQuerySolveMs;
-    std::vector<std::string> verdicts;
-};
-
-/**
- * Learned-clause sharing comparison: every supported kernel's three
- * properties are checked over `rounds` rounds of *fresh* verifiers —
- * the batch/serve pattern where pipelines are rebuilt but session keys
- * repeat — once with sharing off and once with the given mode. With
- * session-scope sharing on, round 1 populates the process-wide store
- * and later rounds import those clauses at their first restart
- * boundary, so repeat queries start with the conflict clauses already
- * learned. Verdicts must match query for query between the two passes
- * (detail strings included: these queries stay deterministic because
- * the import order from the store is deterministic for a sequential
- * run). Writes BENCH_clause_sharing.json; fails on any mismatch.
- */
-int
-runClauseShareBench(const std::vector<Kernel> &corpus,
-                    smt::ClauseShareMode onMode, int rounds)
-{
-    const core::Property props[] = {core::Property::Safety,
-                                    core::Property::Liveness,
-                                    core::Property::CatSpec};
-    const char *propNames[] = {"safety", "liveness", "catspec"};
-
-    std::vector<std::string> labels;
-    for (int round = 0; round < rounds; ++round) {
-        for (const Kernel &kernel : corpus) {
-            if (kernel.usesFloat)
-                continue;
-            for (size_t p = 0; p < 3; ++p) {
-                labels.push_back("round" + std::to_string(round + 1) +
-                                 " " + kernel.name + " " + propNames[p]);
-            }
-        }
-    }
-
-    auto runPass = [&](smt::ClauseShareMode mode) {
-        // Each pass starts from an empty process-wide store so the off
-        // pass cannot see clauses the on pass published (and repeated
-        // on passes stay reproducible).
-        core::clearSharedClauseStores();
-        ClauseShareBenchPass pass;
-        Stopwatch wall;
-        for (int round = 0; round < rounds; ++round) {
-            for (const Kernel &kernel : corpus) {
-                if (kernel.usesFloat)
-                    continue;
-                core::VerifierOptions options;
-                options.backend = smt::BackendKind::Builtin;
-                options.wantWitness = false;
-                options.clauseShare = mode;
-                core::Verifier verifier(kernel.program,
-                                        bench::vulkanModel(), options);
-                std::vector<core::VerificationResult> results =
-                    verifier.checkAll({props[0], props[1], props[2]});
-                for (const core::VerificationResult &result : results) {
-                    double ms =
-                        result.stats.get("phaseSolveUs") / 1000.0;
-                    pass.perQuerySolveMs.push_back(ms);
-                    pass.solveMs += ms;
-                    pass.conflicts +=
-                        result.stats.get("solver.conflicts");
-                    pass.exported +=
-                        result.stats.get("solver.share.exported");
-                    pass.imported +=
-                        result.stats.get("solver.share.imported");
-                    pass.rejected +=
-                        result.stats.get("solver.share.rejected");
-                    pass.verdicts.push_back(
-                        result.unknown
-                            ? "unknown"
-                            : std::string(result.holds ? "holds("
-                                                       : "fails(") +
-                                  result.detail + ")");
-                }
-            }
-        }
-        pass.wallMs = wall.elapsedMs();
-        core::clearSharedClauseStores();
-        return pass;
-    };
-
-    ClauseShareBenchPass off = runPass(smt::ClauseShareMode::Off);
-    ClauseShareBenchPass on = runPass(onMode);
-
-    bool identical = off.verdicts.size() == labels.size() &&
-                     on.verdicts.size() == labels.size();
-    std::string firstMismatch;
-    for (size_t i = 0; identical && i < labels.size(); ++i) {
-        if (off.verdicts[i] != on.verdicts[i]) {
-            identical = false;
-            firstMismatch = labels[i] + ": off=" + off.verdicts[i] +
-                            " on=" + on.verdicts[i];
-        }
-    }
-
-    double speedup = on.solveMs > 0 ? off.solveMs / on.solveMs : 0.0;
-    std::printf("Clause-share bench: %zu queries (%zu kernels x 3 "
-                "properties x %d rounds), on-mode %s\n\n",
-                labels.size(), labels.size() / 3 / rounds, rounds,
-                smt::clauseShareModeName(onMode));
-    std::printf("%-8s %12s %12s %12s %10s %10s %10s\n", "MODE",
-                "solve ms", "wall ms", "conflicts", "exported",
-                "imported", "rejected");
-    std::printf("%-8s %12.1f %12.1f %12lld %10lld %10lld %10lld\n",
-                "off", off.solveMs, off.wallMs,
-                static_cast<long long>(off.conflicts),
-                static_cast<long long>(off.exported),
-                static_cast<long long>(off.imported),
-                static_cast<long long>(off.rejected));
-    std::printf("%-8s %12.1f %12.1f %12lld %10lld %10lld %10lld\n",
-                "on", on.solveMs, on.wallMs,
-                static_cast<long long>(on.conflicts),
-                static_cast<long long>(on.exported),
-                static_cast<long long>(on.imported),
-                static_cast<long long>(on.rejected));
-    std::printf("\nsolve-time speedup off/on: %.2fx\n", speedup);
-    std::printf("verdicts: %s\n",
-                identical ? "identical between modes"
-                          : ("MISMATCH at " + firstMismatch).c_str());
-
-    std::ofstream json("BENCH_clause_sharing.json");
-    auto passJson = [&](const char *name,
-                        const ClauseShareBenchPass &pass) {
-        json << "  " << jsonString(name)
-             << ": {\"solveMs\": " << pass.solveMs
-             << ", \"wallMs\": " << pass.wallMs
-             << ", \"conflicts\": " << pass.conflicts
-             << ", \"exported\": " << pass.exported
-             << ", \"imported\": " << pass.imported
-             << ", \"rejected\": " << pass.rejected << "}";
-    };
-    json << "{\n  \"queries\": " << labels.size()
-         << ",\n  \"kernels\": " << labels.size() / 3 / rounds
-         << ",\n  \"rounds\": " << rounds << ",\n  \"mode\": "
-         << jsonString(smt::clauseShareModeName(onMode)) << ",\n";
-    passJson("off", off);
-    json << ",\n";
-    passJson("on", on);
-    json << ",\n  \"speedup\": " << speedup
-         << ",\n  \"verdictsIdentical\": "
-         << (identical ? "true" : "false") << ",\n  \"firstMismatch\": "
-         << (identical ? "null" : jsonString(firstMismatch))
-         << ",\n  \"perQuery\": [\n";
-    for (size_t i = 0; i < labels.size(); ++i) {
-        json << "    {\"label\": " << jsonString(labels[i])
-             << ", \"offMs\": " << off.perQuerySolveMs[i]
-             << ", \"onMs\": " << on.perQuerySolveMs[i]
-             << ", \"verdict\": " << jsonString(on.verdicts[i]) << "}"
-             << (i + 1 < labels.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    json.close();
-    std::printf("(writing BENCH_clause_sharing.json)\n");
-
-    return identical ? 0 : 1;
 }
 
 /** One engine's view of one engine-bench case. */
@@ -1220,12 +872,9 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0; // hardware concurrency
     bool sessionBench = false;
-    bool portfolioBench = false;
     bool serveBench = false;
-    bool clauseShareBench = false;
     bool engineBench = false;
     bool smoke = false;
-    int rounds = 3;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (startsWith(arg, "--jobs=")) {
@@ -1237,31 +886,18 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(*n);
         } else if (arg == "--session-bench") {
             sessionBench = true;
-        } else if (arg == "--portfolio-bench") {
-            portfolioBench = true;
         } else if (arg == "--serve-bench") {
             serveBench = true;
-        } else if (arg == "--clause-share-bench") {
-            clauseShareBench = true;
         } else if (arg == "--engine-bench") {
             engineBench = true;
         } else if (arg == "--smoke") {
             smoke = true;
-        } else if (startsWith(arg, "--rounds=")) {
-            std::optional<int64_t> n = parseInt(arg.substr(9));
-            if (!n || *n < 1 || *n > 100) {
-                std::fprintf(stderr, "invalid --rounds value\n");
-                return 2;
-            }
-            rounds = static_cast<int>(*n);
-        } else if (startsWith(arg, "--clause-share=")) {
-            if (!smt::parseClauseShareMode(arg.substr(15),
-                                           gClauseShare)) {
-                std::fprintf(stderr,
-                             "invalid --clause-share value (want "
-                             "off|cube|session|on)\n");
-                return 2;
-            }
+        } else {
+            std::fprintf(stderr,
+                         "table6_tool_validation: unknown argument "
+                         "'%s'\n",
+                         arg.c_str());
+            return 2;
         }
     }
 
@@ -1287,20 +923,8 @@ main(int argc, char **argv)
 
     if (sessionBench)
         return runSessionBench(corpus, jobs);
-    if (portfolioBench)
-        return runPortfolioBench(corpus);
     if (serveBench)
         return runServeBench(corpus, jobs);
-    if (clauseShareBench) {
-        // The comparison needs a sharing mode that persists across the
-        // fresh verifiers of later rounds; plain --clause-share-bench
-        // (or an explicit off/cube) gets session scope.
-        smt::ClauseShareMode onMode = smt::shareSessionsEnabled(
-                                          gClauseShare)
-                                          ? gClauseShare
-                                          : smt::ClauseShareMode::Session;
-        return runClauseShareBench(corpus, onMode, rounds);
-    }
 
     std::printf("Table 6: DRF verification of %zu kernels "
                 "(%u gpumc workers)\n\n",
@@ -1317,7 +941,6 @@ main(int argc, char **argv)
     std::vector<gpuverify::StaticDrfResult> staticResults;
     core::VerifierOptions options;
     options.wantWitness = false;
-    options.clauseShare = gClauseShare;
     std::vector<core::BatchJob> batch;
     std::vector<size_t> batchKernel; // batch index -> corpus index
     for (size_t k = 0; k < corpus.size(); ++k) {

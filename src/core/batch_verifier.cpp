@@ -8,7 +8,7 @@
 #include "serve/completion_queue.hpp"
 #include "serve/executor.hpp"
 #include "support/diagnostics.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_budget.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::core {

@@ -1,7 +1,5 @@
 #include "core/verifier.hpp"
 
-#include "core/clause_share.hpp"
-#include "core/session_key.hpp"
 #include "encoder/relation_encoder.hpp"
 #include "program/unroller.hpp"
 #include "support/trace.hpp"
@@ -79,7 +77,6 @@ struct Verifier::Session {
     // Shared-session state across property checks.
     std::map<Property, PropertyQuery> queries;
     bool commonAsserted = false;
-    bool shareAttached = false;
     int64_t queriesIssued = 0;
     int64_t timesReused = 0;
 
@@ -336,21 +333,6 @@ Verifier::run(Property property)
     encodeSpan.arg("property", propertyName(property));
 
     s.ensureCommon(program_);
-
-    // Session-scope clause sharing attaches exactly once, right after
-    // the common (unguarded) constraints: the variable watermark is
-    // the backend's variable count at this point, which every session
-    // with an equal SessionKey reaches deterministically — activation
-    // literals and property gates are allocated later and so can never
-    // travel between sessions. ensureCommon comes first because the
-    // litmus filter may still allocate gate variables.
-    if (!s.shareAttached &&
-        smt::shareSessionsEnabled(options_.clauseShare)) {
-        s.shareAttached = true;
-        s.backend->attachClauseStore(
-            sharedClauseStore(sessionKey(program_, model_, options_)),
-            s.backend->numVars());
-    }
 
     // Per-property query construction, encoded once per session behind
     // a fresh activation literal; repeats of the same property reuse

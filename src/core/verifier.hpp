@@ -61,20 +61,18 @@ struct VerifierOptions {
     /** Extract an execution witness on SAT results. */
     bool wantWitness = true;
     /**
-     * Cube-and-conquer split depth inside the builtin CDCL solver
-     * (also the builtin lane of the portfolio backend): each query is
-     * split into 2^depth cubes on high-activity variables and farmed
-     * through the shared thread budget. 0 = disabled.
+     * Cube-and-conquer split depth inside the builtin CDCL solver:
+     * each query is split into 2^depth cubes on high-activity
+     * variables and farmed through the shared thread budget.
+     * 0 = disabled.
      */
     int cubeDepth = 0;
     /**
      * Learned-clause sharing scope for the builtin CDCL solver (see
      * smt::ClauseShareMode). `Cube` shares between the main solver and
-     * cube workers of one backend; `Session` shares across all
-     * verifiers with an equal core::SessionKey through a process-wide
-     * store, watermarked to the shared structural encoding; `On` is
-     * both. Off by default: sharing never changes verdicts, but it
-     * makes witnesses and solver statistics timing-dependent.
+     * the cube workers of one backend. Off by default: sharing never
+     * changes verdicts, but it makes witnesses and solver statistics
+     * timing-dependent.
      */
     smt::ClauseShareMode clauseShare = smt::ClauseShareMode::Off;
 };

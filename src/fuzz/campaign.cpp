@@ -11,7 +11,7 @@
 #include "litmus/litmus_emitter.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "support/diagnostics.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_budget.hpp"
 
 namespace gpumc::fuzz {
 
@@ -204,25 +204,12 @@ runCampaign(const CampaignOptions &options)
         });
     }
 
-    // Phase 4c: the portfolio-vs-single differential, likewise
-    // self-contained per case (a racing checkAll() vs each single
-    // backend); the portfolio's own lanes draw on the same thread
-    // budget as these workers, so --jobs stays a global cap.
-    std::vector<OracleOutcome> portfolioOutcomes(
-        static_cast<size_t>(runs));
-    if (oracle.portfolioVsSingle) {
-        parallelFor(runs, options.jobs, [&](int64_t i) {
-            const size_t n = static_cast<size_t>(i);
-            portfolioOutcomes[n] =
-                portfolioVsSingleOracle(programs[n], model, oracle);
-        });
-    }
-
-    // Phase 4d: the clause-sharing differential, likewise
-    // self-contained per case (sharing-on checkAll() vs the
-    // sharing-off baseline on the builtin backend); sharing makes
-    // search timing-dependent, which is exactly what the oracle must
-    // show never reaches the verdicts.
+    // Phase 4c: the clause-sharing differential, likewise
+    // self-contained per case (cube-sharing checkAll() vs the
+    // sharing-off baseline on the builtin backend); the cube workers
+    // draw on the same thread budget as these workers, so --jobs stays
+    // a global cap. Sharing makes search timing-dependent, which is
+    // exactly what the oracle must show never reaches the verdicts.
     std::vector<OracleOutcome> sharingOutcomes(
         static_cast<size_t>(runs));
     if (oracle.clauseSharing) {
@@ -233,7 +220,7 @@ runCampaign(const CampaignOptions &options)
         });
     }
 
-    // Phase 4e: the DPOR differential, likewise self-contained per
+    // Phase 4d: the DPOR differential, likewise self-contained per
     // case (a full stateless-model-checking exploration vs the builtin
     // SMT verdicts); unsupported programs and exhausted budgets show
     // up as skips in the log rather than vanishing.
@@ -272,8 +259,6 @@ runCampaign(const CampaignOptions &options)
         OracleReport report = compareOracles(inputs, oracle);
         if (oracle.sessionReuse)
             report.outcomes.push_back(reuseOutcomes[n]);
-        if (oracle.portfolioVsSingle)
-            report.outcomes.push_back(portfolioOutcomes[n]);
         if (oracle.clauseSharing)
             report.outcomes.push_back(sharingOutcomes[n]);
         if (oracle.dpor)
@@ -392,7 +377,7 @@ runCampaign(const CampaignOptions &options)
                 text += "//       vs: " +
                         reproCommand(fileName, options.modelName,
                                      "builtin", oracle.bound) +
-                        " --all-properties --clause-share=on "
+                        " --all-properties --clause-share=cube "
                         "--cube-depth=2\n";
             } else {
                 text += "// reproduce: " +

@@ -16,7 +16,6 @@ oracleName(OracleKind kind)
       case OracleKind::Z3VsBuiltin: return "z3-vs-builtin";
       case OracleKind::BoundMono: return "bound-mono";
       case OracleKind::SessionReuse: return "session-reuse";
-      case OracleKind::PortfolioVsSingle: return "portfolio-vs-single";
       case OracleKind::ClauseSharing: return "clause-sharing";
       case OracleKind::Dpor: return "dpor";
     }
@@ -79,7 +78,6 @@ OracleOptions::only(OracleKind kind) const
     out.z3VsBuiltin = kind == OracleKind::Z3VsBuiltin;
     out.boundMono = kind == OracleKind::BoundMono;
     out.sessionReuse = kind == OracleKind::SessionReuse;
-    out.portfolioVsSingle = kind == OracleKind::PortfolioVsSingle;
     out.clauseSharing = kind == OracleKind::ClauseSharing;
     out.dpor = kind == OracleKind::Dpor;
     return out;
@@ -191,89 +189,11 @@ sessionReuseOracle(const prog::Program &program, const cat::CatModel &model,
 }
 
 /**
- * Portfolio-vs-single differential: checkAll() with the racing
- * portfolio backend must agree on holds/unknown, property for
- * property, with checkAll() on each single backend. Detail strings
- * are not compared: the portfolio's witness comes from whichever lane
- * won the race, and distinct backends may legally report distinct
- * (equally valid) witness executions.
- */
-OracleOutcome
-portfolioVsSingleOracle(const prog::Program &program,
-                        const cat::CatModel &model,
-                        const OracleOptions &options)
-{
-    OracleOutcome o;
-    o.kind = OracleKind::PortfolioVsSingle;
-
-    const core::Property props[] = {core::Property::Safety,
-                                    core::Property::Liveness,
-                                    core::Property::CatSpec};
-    const char *propNames[] = {"safety", "liveness", "catspec"};
-    auto describe = [](const core::VerificationResult &r) {
-        if (r.unknown)
-            return std::string("unknown");
-        return std::string(r.holds ? "holds" : "fails");
-    };
-
-    auto checkAllWith =
-        [&](smt::BackendKind backend,
-            const char *who) -> std::vector<core::VerificationResult> {
-        core::VerifierOptions vo;
-        vo.backend = backend;
-        vo.bound = options.bound;
-        vo.validateWitness = true;
-        vo.solverTimeoutMs = options.solverTimeoutMs;
-        try {
-            core::Verifier verifier(program, model, vo);
-            return verifier.checkAll({props[0], props[1], props[2]});
-        } catch (const FatalError &error) {
-            o.verdict = OracleVerdict::Skipped;
-            o.detail = std::string(who) + " error: " + error.what();
-        } catch (const std::exception &error) {
-            o.verdict = OracleVerdict::Skipped;
-            o.detail = std::string(who) + " error: " + error.what();
-        }
-        return {};
-    };
-
-    std::vector<core::VerificationResult> portfolio =
-        checkAllWith(smt::BackendKind::Portfolio, "portfolio");
-    if (o.verdict != OracleVerdict::Agree || portfolio.empty())
-        return o;
-
-    struct Single {
-        smt::BackendKind backend;
-        const char *name;
-    };
-    for (const Single &single :
-         {Single{smt::BackendKind::Builtin, "builtin"},
-          Single{smt::BackendKind::Z3, "z3"}}) {
-        std::vector<core::VerificationResult> alone =
-            checkAllWith(single.backend, single.name);
-        if (o.verdict != OracleVerdict::Agree)
-            return o;
-        for (size_t i = 0; i < portfolio.size(); ++i) {
-            if (portfolio[i].holds != alone[i].holds ||
-                portfolio[i].unknown != alone[i].unknown) {
-                o.verdict = OracleVerdict::Disagree;
-                o.detail = std::string(propNames[i]) +
-                           ": portfolio=" + describe(portfolio[i]) + " " +
-                           single.name + "=" + describe(alone[i]);
-                return o;
-            }
-        }
-    }
-    return o;
-}
-
-/**
  * Sharing-on vs sharing-off differential on the builtin backend:
  * imported clauses are logical consequences of the shared database, so
  * the verdicts must be bit-identical even though search paths (and
- * witnesses) differ. Cube depth 2 keeps the cube-scope path exercised;
- * session scope exercises the process-wide store and the activation-
- * literal watermark.
+ * witnesses) differ. Cube depth 2 gives the cube-scope store workers
+ * to share between.
  */
 OracleOutcome
 clauseSharingOracle(const prog::Program &program,
@@ -303,7 +223,7 @@ clauseSharingOracle(const prog::Program &program,
         vo.solverTimeoutMs = options.solverTimeoutMs;
         vo.clauseShare = mode;
         if (mode != smt::ClauseShareMode::Off)
-            vo.cubeDepth = 2; // exercise the cube-scope path too
+            vo.cubeDepth = 2; // cube workers to share between
         try {
             core::Verifier verifier(program, model, vo);
             return verifier.checkAll({props[0], props[1], props[2]});
@@ -322,7 +242,7 @@ clauseSharingOracle(const prog::Program &program,
     if (o.verdict != OracleVerdict::Agree || off.empty())
         return o;
     std::vector<core::VerificationResult> on =
-        checkAllWith(smt::ClauseShareMode::On, "sharing-on");
+        checkAllWith(smt::ClauseShareMode::Cube, "sharing-cube");
     if (o.verdict != OracleVerdict::Agree || on.empty())
         return o;
 
@@ -332,7 +252,7 @@ clauseSharingOracle(const prog::Program &program,
             o.verdict = OracleVerdict::Disagree;
             o.detail = std::string(propNames[i]) +
                        ": sharing-off=" + describe(off[i]) +
-                       " sharing-on=" + describe(on[i]);
+                       " sharing-cube=" + describe(on[i]);
             return o;
         }
     }
@@ -606,10 +526,6 @@ runOracles(const prog::Program &program, const cat::CatModel &model,
     OracleReport report = compareOracles(inputs, options);
     if (options.sessionReuse)
         report.outcomes.push_back(sessionReuseOracle(program, model, options));
-    if (options.portfolioVsSingle) {
-        report.outcomes.push_back(
-            portfolioVsSingleOracle(program, model, options));
-    }
     if (options.clauseSharing) {
         report.outcomes.push_back(
             clauseSharingOracle(program, model, options));

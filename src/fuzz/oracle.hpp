@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential oracle harness: runs one program through several
- * independent engines and cross-checks the verdicts. Four oracles:
+ * independent engines and cross-checks the verdicts. Seven oracles:
  *
  *  - roundtrip:       emit litmus text, reparse, same SMT verdict
  *  - smt-vs-explicit: SMT engine vs the explicit-state enumerator
@@ -16,13 +16,10 @@
  *                     must agree verdict-for-verdict (including detail
  *                     strings, with witness validation on) with three
  *                     fresh-session checks, on both backends
- *  - portfolio-vs-single: the racing portfolio backend must agree
- *                     verdict-for-verdict with the builtin and Z3
- *                     backends run alone, whichever lane wins the race
- *  - clause-sharing:  the builtin backend with learned-clause sharing
- *                     fully on must agree on holds/unknown with the
- *                     sharing-off baseline — imported clauses must
- *                     never flip a verdict
+ *  - clause-sharing:  the builtin backend with cube-scope clause
+ *                     sharing (cube depth 2) must agree on
+ *                     holds/unknown with the sharing-off baseline —
+ *                     imported clauses must never flip a verdict
  *  - dpor:            the DPOR stateless model-checking engine vs the
  *                     SMT verdicts (safety and, for flagged models,
  *                     DRF) — a third, structurally different engine
@@ -54,7 +51,6 @@ enum class OracleKind {
     Z3VsBuiltin,
     BoundMono,
     SessionReuse,
-    PortfolioVsSingle,
     ClauseSharing,
     Dpor
 };
@@ -105,21 +101,15 @@ struct OracleOptions {
      */
     bool sessionReuse = false;
     /**
-     * Portfolio-vs-single-backend differential (self-contained in
-     * runOracles, like sessionReuse). Off by default: it re-verifies
-     * every property on three backends.
-     */
-    bool portfolioVsSingle = false;
-    /**
      * Sharing-on vs sharing-off differential on the builtin backend
-     * (self-contained in runOracles, like portfolioVsSingle). Off by
+     * (self-contained in runOracles, like sessionReuse). Off by
      * default: it re-verifies every property twice.
      */
     bool clauseSharing = false;
     /**
      * DPOR-vs-SMT differential (self-contained in runOracles, like
-     * portfolioVsSingle). Off by default: it re-verifies safety (and
-     * DRF) through a third engine per case.
+     * sessionReuse). Off by default: it re-verifies safety (and DRF)
+     * through a third engine per case.
      */
     bool dpor = false;
 
@@ -197,22 +187,10 @@ OracleOutcome sessionReuseOracle(const prog::Program &program,
                                  const OracleOptions &options);
 
 /**
- * Run just the portfolio-vs-single differential (self-contained): a
- * checkAll() on the portfolio backend must agree on holds/unknown,
- * property for property, with checkAll() on the builtin backend and on
- * Z3 alone. Used by runOracles when `options.portfolioVsSingle` is set
- * and by the campaign driver, which fans it across workers itself.
- */
-OracleOutcome portfolioVsSingleOracle(const prog::Program &program,
-                                      const cat::CatModel &model,
-                                      const OracleOptions &options);
-
-/**
  * Run just the clause-sharing differential (self-contained): a
- * checkAll() on the builtin backend with clause sharing fully on
- * (cube + session scope, cube depth 2 so the cube path runs) must
- * agree on holds/unknown, property for property, with the sharing-off
- * baseline. Detail strings are not compared: sharing legally changes
+ * checkAll() on the builtin backend with cube-scope clause sharing at
+ * cube depth 2 must agree on holds/unknown, property for property,
+ * with the sharing-off baseline. Detail strings are not compared: sharing legally changes
  * which witness the solver finds. Used by runOracles when
  * `options.clauseSharing` is set and by the campaign driver, which
  * fans it across workers itself.

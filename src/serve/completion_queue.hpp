@@ -39,7 +39,7 @@ class CompletionQueue {
     /**
      * Enqueue a callback for in-order delivery. Never blocks on the
      * consumer. Callbacks must not throw; a throwing callback
-     * terminates (same contract as ThreadPool tasks).
+     * terminates.
      */
     void push(std::function<void()> callback);
 

@@ -205,7 +205,6 @@ Engine::handleVerify(Request req, const Respond &respond)
     core::VerifierOptions vopts;
     vopts.backend = req.backend;
     vopts.bound = req.bound;
-    vopts.clauseShare = options_.clauseShare;
     // The server never extracts witnesses: responses carry verdicts,
     // and witness objects would make cached and fresh results differ.
     vopts.wantWitness = false;

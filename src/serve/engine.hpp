@@ -55,14 +55,6 @@ struct EngineOptions {
     /** Directory where `model` names resolve to <name>.cat files. */
     std::string catDir;
     /**
-     * Learned-clause sharing scope applied to every verify request
-     * (smt::ClauseShareMode; `Session` lets same-fingerprint requests
-     * warm each other's solvers even across session-pool rebuilds).
-     * Part of each request's session key, so flipping it never aliases
-     * cached results or pooled sessions from another mode.
-     */
-    smt::ClauseShareMode clauseShare = smt::ClauseShareMode::Off;
-    /**
      * Result-cache persistence path: loaded at construction (missing,
      * corrupt or version-mismatched files silently start cold) and
      * written back on clean shutdown. Empty = in-memory only.

@@ -1,6 +1,5 @@
 #include "serve/executor.hpp"
 
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::serve {

@@ -13,9 +13,9 @@
  *    full queue must turn into a graceful `overloaded` response
  *    instead of unbounded memory growth (admission control).
  *
- * Thread accounting follows parallelFor: the creator is assumed to
+ * Thread accounting matches parallelFor: the creator is assumed to
  * block (in drain() or a server accept loop) while tasks run, so its
- * slot is lent to one worker and only `workers - 1` *helper* slots are
+ * slot goes to one worker and only `workers - 1` *helper* slots are
  * charged to the process-wide ThreadBudget. When the budget is
  * exhausted the executor degrades to a single worker — same results,
  * less parallelism — and never deadlocks.
@@ -23,7 +23,7 @@
  * Exceptions thrown by tasks are captured; the first one is rethrown
  * by drain(). (BatchVerifier job bodies catch per-job failures
  * themselves, so anything reaching the executor is a programming
- * error, mirroring the old parallelFor contract.)
+ * error, mirroring the parallelFor contract.)
  */
 
 #ifndef GPUMC_SERVE_EXECUTOR_HPP

@@ -145,8 +145,6 @@ parseRequest(const std::string &line, Request &out, std::string &error)
             out.backend = smt::BackendKind::Builtin;
         } else if (v->text == "z3") {
             out.backend = smt::BackendKind::Z3;
-        } else if (v->text == "portfolio") {
-            out.backend = smt::BackendKind::Portfolio;
         } else {
             return failParse(error, "unknown backend '" + v->text + "'");
         }

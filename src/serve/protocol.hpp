@@ -11,7 +11,7 @@
  *   model_source  inline .cat source (alternative to `model`)
  *   property    "program_spec" (default) | "cat_spec" | "liveness"
  *   bound       loop unroll bound (default 2)
- *   backend     "builtin" (default) | "z3" | "portfolio"
+ *   backend     "builtin" (default) | "z3"
  *   timeout_ms  wall-clock budget for the whole request, admission to
  *               verdict (0 = unlimited, subject to the server cap)
  *   no_cache    bypass the result cache for this request

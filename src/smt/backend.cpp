@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "smt/builtin_backend.hpp"
-#include "smt/portfolio_backend.hpp"
 #include "smt/z3_backend.hpp"
 
 namespace gpumc::smt {
@@ -14,25 +13,8 @@ backendKindName(BackendKind kind)
     switch (kind) {
       case BackendKind::Z3:
         return "z3";
-      case BackendKind::Builtin:
+      default:
         return "builtin";
-      default:
-        return "portfolio";
-    }
-}
-
-const char *
-clauseShareModeName(ClauseShareMode mode)
-{
-    switch (mode) {
-      case ClauseShareMode::Off:
-        return "off";
-      case ClauseShareMode::Cube:
-        return "cube";
-      case ClauseShareMode::Session:
-        return "session";
-      default:
-        return "on";
     }
 }
 
@@ -43,10 +25,6 @@ parseClauseShareMode(const std::string &text, ClauseShareMode &out)
         out = ClauseShareMode::Off;
     } else if (text == "cube") {
         out = ClauseShareMode::Cube;
-    } else if (text == "session") {
-        out = ClauseShareMode::Session;
-    } else if (text == "on") {
-        out = ClauseShareMode::On;
     } else {
         return false;
     }
@@ -58,8 +36,6 @@ makeBackend(BackendKind kind, const BackendConfig &config)
 {
     if (kind == BackendKind::Z3)
         return std::make_unique<Z3Backend>();
-    if (kind == BackendKind::Portfolio)
-        return std::make_unique<PortfolioBackend>(config);
     return std::make_unique<BuiltinBackend>(config);
 }
 

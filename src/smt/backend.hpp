@@ -2,11 +2,9 @@
  * @file
  * Solver-independent backend interface. The encoder produces plain CNF
  * through this interface, so any backend that can handle clauses over
- * boolean variables plugs in. Three implementations ship with gpumc:
+ * boolean variables plugs in. Two implementations ship with gpumc:
  *  - BuiltinBackend: the from-scratch CDCL solver in smt/sat.
  *  - Z3Backend: the native Z3 C++ API.
- *  - PortfolioBackend: both of the above racing on every query with
- *    first-wins cancellation (smt/portfolio_backend.hpp).
  */
 
 #ifndef GPUMC_SMT_BACKEND_HPP
@@ -21,10 +19,6 @@
 #include "support/stats.hpp"
 
 namespace gpumc::smt {
-
-namespace sat {
-class ClauseStore;
-} // namespace sat
 
 /**
  * Backend-neutral literal: a non-zero integer; negative values are the
@@ -70,25 +64,6 @@ class Backend {
      */
     virtual void setTimeLimitMs(int64_t) {}
 
-    /**
-     * Cooperative cancellation: ask an in-flight solve() (typically on
-     * another thread) to stop at its next poll point and return
-     * Unknown. Must be safe to call from any thread, at any time —
-     * including when no solve is running, in which case the request
-     * may cancel the *next* solve until clearInterrupt() is called.
-     * The backend must remain usable afterwards: an interrupted solve
-     * leaves no residue beyond its Unknown result (learned clauses are
-     * kept), exactly like a timeout. Default: no-op (the interrupt is
-     * simply never observed).
-     */
-    virtual void interrupt() {}
-
-    /**
-     * Withdraw a pending interrupt() so later solve() calls run to
-     * completion. Called by the portfolio racer between queries.
-     */
-    virtual void clearInterrupt() {}
-
     /** Model value of @p lit after a Sat result. */
     virtual TruthValue modelValue(Lit lit) const = 0;
 
@@ -100,21 +75,6 @@ class Backend {
 
     /** Human-readable backend name for reports. */
     virtual std::string name() const = 0;
-
-    /**
-     * Attach a shared learned-clause store for cross-session sharing
-     * (see sat::ClauseStore). @p varLimit is the sharing watermark:
-     * only clauses whose variables were all allocated before it are
-     * exported — variables above it (activation literals, property
-     * gates) mean different things in other sessions. Backends without
-     * a native CDCL solver ignore the attachment (default no-op); the
-     * portfolio backend forwards it to its builtin lane.
-     */
-    virtual void
-    attachClauseStore(std::shared_ptr<sat::ClauseStore> /*store*/,
-                      int64_t /*varLimit*/)
-    {
-    }
 
     /**
      * Search statistics accumulated by solve() calls so far, as
@@ -131,33 +91,23 @@ class Backend {
 };
 
 /** Which backend a verification run should use. */
-enum class BackendKind { Z3, Builtin, Portfolio };
+enum class BackendKind { Z3, Builtin };
 
 /** Stable lower-case name for CLI flags and test parameter labels. */
 const char *backendKindName(BackendKind kind);
 
 /**
- * Learned-clause sharing scopes for the builtin CDCL solver (also the
- * builtin lane of the portfolio backend):
- *  - Off:     today's behaviour, bit for bit. The default — sharing
- *             keeps verdicts identical but makes the search path (and
- *             therefore witnesses and solver statistics) depend on
- *             thread timing, which strict-determinism callers (the
- *             fuzz campaign log) cannot accept.
- *  - Cube:    share between the main solver and the cube-and-conquer
- *             workers of one backend, across rounds and queries. Also
- *             covers the portfolio's budget-starved sequential
- *             fallback, which solves on the same (persistent) lane.
- *  - Session: share across sessions with equal core::SessionKey —
- *             assumption-guarded sibling queries, same-fingerprint
- *             batch jobs, serve-pool rebuilds — through a process-wide
- *             store, restricted to the structural variable watermark.
- *  - On:      both scopes.
+ * Learned-clause sharing scope for the builtin CDCL solver:
+ *  - Off:  no sharing, bit for bit. The default — sharing keeps
+ *          verdicts identical but makes the search path (and therefore
+ *          witnesses and solver statistics) depend on thread timing,
+ *          which strict-determinism callers (the fuzz campaign log)
+ *          cannot accept.
+ *  - Cube: share between the main solver and the cube-and-conquer
+ *          workers of one backend, across rounds and queries. Does
+ *          nothing without a cube depth.
  */
-enum class ClauseShareMode { Off, Cube, Session, On };
-
-/** Stable lower-case name ("off"/"cube"/"session"/"on"). */
-const char *clauseShareModeName(ClauseShareMode mode);
+enum class ClauseShareMode { Off, Cube };
 
 /** Parse a --clause-share value; returns false on unknown text. */
 bool parseClauseShareMode(const std::string &text, ClauseShareMode &out);
@@ -165,13 +115,7 @@ bool parseClauseShareMode(const std::string &text, ClauseShareMode &out);
 inline bool
 shareCubesEnabled(ClauseShareMode mode)
 {
-    return mode == ClauseShareMode::Cube || mode == ClauseShareMode::On;
-}
-
-inline bool
-shareSessionsEnabled(ClauseShareMode mode)
-{
-    return mode == ClauseShareMode::Session || mode == ClauseShareMode::On;
+    return mode == ClauseShareMode::Cube;
 }
 
 /** Construction-time knobs that are not part of the query interface. */
@@ -186,13 +130,11 @@ struct BackendConfig {
     /**
      * Cube-scope clause sharing: the main solver and every cube worker
      * publish learned clauses to one per-backend store and import each
-     * other's at restart boundaries (identical clause databases, so no
-     * variable watermark applies). Off by default.
+     * other's at restart boundaries (their clause databases are
+     * identical, so every learned clause is valid in all of them). Off
+     * by default.
      */
     bool shareCubes = false;
-    /** Export-filter thresholds for the cube-scope store. */
-    int shareMaxLbd = 8;
-    int shareMaxSize = 32;
 };
 
 /** Factory. */

@@ -1,9 +1,10 @@
 #include "smt/builtin_backend.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "support/diagnostics.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_budget.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::smt {
@@ -12,32 +13,9 @@ BuiltinBackend::BuiltinBackend(const BackendConfig &config)
     : cubeDepth_(config.cubeDepth)
 {
     if (config.shareCubes) {
-        sat::ClauseStore::Config storeConfig;
-        storeConfig.maxLbd = config.shareMaxLbd;
-        storeConfig.maxSize = static_cast<size_t>(config.shareMaxSize);
-        cubeStore_ = std::make_shared<sat::ClauseStore>(storeConfig);
+        cubeStore_ = std::make_shared<sat::ClauseStore>();
         solver_.attachStore(cubeStore_);
     }
-}
-
-void
-BuiltinBackend::attachClauseStore(std::shared_ptr<sat::ClauseStore> store,
-                                  int64_t varLimit)
-{
-    if (!store)
-        return;
-    sessionStore_ = std::move(store);
-    sessionVarLimit_ = static_cast<sat::Var>(varLimit);
-    solver_.attachStore(sessionStore_, sessionVarLimit_);
-}
-
-void
-BuiltinBackend::attachStores(sat::Solver &solver) const
-{
-    if (cubeStore_)
-        solver.attachStore(cubeStore_);
-    if (sessionStore_)
-        solver.attachStore(sessionStore_, sessionVarLimit_);
 }
 
 Lit
@@ -60,23 +38,6 @@ BuiltinBackend::addClause(const std::vector<Lit> &clause)
         recorded_.push_back(lits); // replayed into per-cube solvers
     if (!solver_.addClause(std::move(lits)))
         unsat_ = true;
-}
-
-void
-BuiltinBackend::interrupt()
-{
-    interruptRequested_.store(true, std::memory_order_relaxed);
-    solver_.interrupt();
-    std::lock_guard<std::mutex> lock(cubeMutex_);
-    for (auto &[idx, cubeSolver] : activeCubes_)
-        cubeSolver->interrupt();
-}
-
-void
-BuiltinBackend::clearInterrupt()
-{
-    interruptRequested_.store(false, std::memory_order_relaxed);
-    solver_.clearInterrupt();
 }
 
 SolveResult
@@ -176,16 +137,15 @@ BuiltinBackend::solveCubes(const std::vector<sat::Lit> &assumps)
 
     auto runCube = [&](int64_t index) {
         const int cube = static_cast<int>(index);
-        if (cube > minSat.load(std::memory_order_relaxed) ||
-            interruptRequested_.load(std::memory_order_relaxed)) {
-            return; // moot or cancelled; result stays Unknown
-        }
+        if (cube > minSat.load(std::memory_order_relaxed))
+            return; // moot; result stays Unknown
         auto solver = std::make_unique<sat::Solver>();
         for (int v = 0; v < varCount; ++v)
             solver->newVar();
         // Attach before the clause replay: units learned by siblings
         // can then already prune the replayed database at import time.
-        attachStores(*solver);
+        if (cubeStore_)
+            solver->attachStore(cubeStore_);
         bool consistent = true;
         for (const auto &clause : recorded_) {
             if (!solver->addClause(clause)) {
@@ -206,10 +166,6 @@ BuiltinBackend::solveCubes(const std::vector<sat::Lit> &assumps)
             std::lock_guard<std::mutex> lock(cubeMutex_);
             activeCubes_.emplace_back(cube, solver.get());
         }
-        // Close the race with interrupt(): a request that arrived
-        // before registration would otherwise miss this solver.
-        if (interruptRequested_.load(std::memory_order_relaxed))
-            solver->interrupt();
 
         sat::Solver::Status status = solver->solveLimited(cubeAssumps);
 
@@ -288,7 +244,7 @@ BuiltinBackend::statistics() const
         out["cube.decisions"] = count(cubeStats_.decisions);
         out["cube.propagations"] = count(cubeStats_.propagations);
     }
-    if (cubeStore_ || sessionStore_) {
+    if (cubeStore_) {
         sat::ShareStats share = solver_.shareStats();
         {
             std::lock_guard<std::mutex> lock(cubeMutex_);
@@ -299,12 +255,7 @@ BuiltinBackend::statistics() const
         out["share.exported"] = count(share.exported);
         out["share.imported"] = count(share.imported);
         out["share.rejected"] = count(share.rejected);
-        int64_t storeSize = 0;
-        if (cubeStore_)
-            storeSize += static_cast<int64_t>(cubeStore_->size());
-        if (sessionStore_)
-            storeSize += static_cast<int64_t>(sessionStore_->size());
-        out["share.storeSize"] = storeSize;
+        out["share.storeSize"] = static_cast<int64_t>(cubeStore_->size());
     }
     return out;
 }

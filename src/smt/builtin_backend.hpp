@@ -10,7 +10,6 @@
 #ifndef GPUMC_SMT_BUILTIN_BACKEND_HPP
 #define GPUMC_SMT_BUILTIN_BACKEND_HPP
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -34,16 +33,11 @@ class BuiltinBackend : public Backend {
         timeLimitMs_ = ms > 0 ? ms : 0;
         solver_.setTimeLimitMs(timeLimitMs_);
     }
-    void interrupt() override;
-    void clearInterrupt() override;
     TruthValue modelValue(Lit lit) const override;
     int64_t numVars() const override { return solver_.numVars(); }
     int64_t numClauses() const override { return numClauses_; }
     std::string name() const override { return "builtin-cdcl"; }
     std::map<std::string, int64_t> statistics() const override;
-
-    void attachClauseStore(std::shared_ptr<sat::ClauseStore> store,
-                           int64_t varLimit) override;
 
     const sat::SolverStats &stats() const { return solver_.stats(); }
 
@@ -68,29 +62,21 @@ class BuiltinBackend : public Backend {
     std::vector<std::vector<sat::Lit>> recorded_;
     /** The cube solver whose model answered the last Sat query. */
     std::unique_ptr<sat::Solver> cubeModel_;
-    /** In-flight cube solvers, so interrupt() can reach them. */
+    /** In-flight cube solvers, so a Sat cube can cancel its
+     *  higher-index siblings. */
     std::vector<std::pair<int, sat::Solver *>> activeCubes_;
     mutable std::mutex cubeMutex_;
-    std::atomic<bool> interruptRequested_{false};
     sat::SolverStats cubeStats_;
     int64_t cubeSolves_ = 0;
     int64_t cubeRounds_ = 0;
 
     // --- learned-clause sharing (see sat/clause_store.hpp) -----------
-    /** Attach every store this backend holds to @p solver. */
-    void attachStores(sat::Solver &solver) const;
     /**
-     * Cube-scope store (BackendConfig::shareCubes): main solver and
-     * cube workers publish/import with no variable watermark — their
-     * clause databases are identical by construction.
+     * Cube-scope store (BackendConfig::shareCubes): the main solver and
+     * the cube workers publish and import through it — their clause
+     * databases are identical by construction.
      */
     std::shared_ptr<sat::ClauseStore> cubeStore_;
-    /**
-     * Session-scope store handed in via attachClauseStore(), restricted
-     * to the caller's structural variable watermark.
-     */
-    std::shared_ptr<sat::ClauseStore> sessionStore_;
-    sat::Var sessionVarLimit_ = -1;
     /** Share counters of finished cube solvers (under cubeMutex_). */
     sat::ShareStats cubeShareStats_;
 };

@@ -16,18 +16,12 @@
  * simply skips it (sharing is an optimization — losing old clauses
  * never affects soundness).
  *
- * Soundness contract (enforced by the *solvers*, not the store): a
+ * Soundness contract (kept by the *callers*, not the store): a
  * published clause must be a logical consequence of the clause
- * database shared by every attached solver. Within one backend
- * (cube-and-conquer workers, the main solver) the databases are
- * identical, so every learned clause qualifies. Across sessions of
- * one core::SessionKey only the structural prefix is shared, so
- * attachments carry a variable watermark: clauses mentioning any
- * variable allocated after the structural encode (activation
- * literals, property-specific Tseitin gates) are rejected at export —
- * those variables mean different things in different sessions, and a
- * foreign activation literal could silently retire another query's
- * constraint group (see docs/DESIGN.md, "Clause sharing").
+ * database shared by every attached solver. The one caller, the
+ * builtin backend's cube-and-conquer mode, attaches only solvers
+ * with identical databases (the main solver and the cube workers that
+ * replay its clauses), so every learned clause qualifies.
  */
 
 #ifndef GPUMC_SMT_SAT_CLAUSE_STORE_HPP

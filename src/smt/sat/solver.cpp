@@ -135,8 +135,8 @@ Solver::propagate()
         // cross-thread interrupts too: check between literal
         // propagations (a safe point — the watcher lists are
         // consistent), cheaply amortized. The interrupt flag is polled
-        // even when no time limit is armed — portfolio racing cancels
-        // unlimited solves. Breaking here leaves qhead_ <
+        // even when no time limit is armed — a Sat cube cancels its
+        // unlimited siblings. Breaking here leaves qhead_ <
         // trail_.size(); propagation simply resumes from the queue if
         // the solver is used again.
         if ((stats_.propagations & 2047) == 0 &&
@@ -524,13 +524,12 @@ Solver::solveLimited(const std::vector<Lit> &assumptions)
 }
 
 void
-Solver::attachStore(std::shared_ptr<ClauseStore> store, Var varLimit)
+Solver::attachStore(std::shared_ptr<ClauseStore> store)
 {
     GPUMC_ASSERT(store != nullptr, "attachStore without a store");
     StoreAttachment att;
     att.source = store->registerSource();
     att.store = std::move(store);
-    att.varLimit = varLimit;
     stores_.push_back(std::move(att));
 }
 
@@ -570,23 +569,6 @@ Solver::exportLearnt(const std::vector<Lit> &lits)
         if (lbd > att.store->maxLbd()) {
             shareStats_.rejected++;
             continue;
-        }
-        if (att.varLimit >= 0) {
-            // The sharing watermark: clauses over variables allocated
-            // after the shared structural prefix (activation literals,
-            // property gates) are meaningless — and unsound — in other
-            // sessions, so they never leave this solver.
-            bool outOfRange = false;
-            for (Lit l : lits) {
-                if (l.var() >= att.varLimit) {
-                    outOfRange = true;
-                    break;
-                }
-            }
-            if (outOfRange) {
-                shareStats_.rejected++;
-                continue;
-            }
         }
         att.store->publish(att.source, lits);
         shareStats_.exported++;

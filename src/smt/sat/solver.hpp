@@ -42,8 +42,8 @@ struct ShareStats {
     /** Foreign clauses attached (or enqueued as units) after import
      *  re-validation. */
     uint64_t imported = 0;
-    /** Clauses dropped by the export filter (LBD/size/var-watermark)
-     *  or by import re-validation (unknown variable, root-satisfied). */
+    /** Clauses dropped by the export filter (LBD/size) or by import
+     *  re-validation (unknown variable, root-satisfied). */
     uint64_t rejected = 0;
 };
 
@@ -91,17 +91,11 @@ class Solver {
      * top of the restart loop — but unlike the deadline it is checked
      * even when no time limit is armed. An interrupted solveLimited()
      * returns Unknown; learned clauses and activities survive exactly
-     * as they do across a timeout. The flag stays raised until
-     * clearInterrupt(), so an interrupt that wins a race with solve
-     * entry still cancels that solve.
+     * as they do across a timeout. The flag stays raised, so an
+     * interrupt that wins a race with solve entry still cancels that
+     * solve — and every later one: an interrupted solver is done.
      */
     void interrupt() { interrupted_.store(true, std::memory_order_relaxed); }
-
-    /** Withdraw a pending interrupt(). */
-    void clearInterrupt()
-    {
-        interrupted_.store(false, std::memory_order_relaxed);
-    }
 
     /**
      * The @p n unassigned (at the root level) variables with the
@@ -119,19 +113,14 @@ class Solver {
      * skipped, root-false literals dropped, units enqueued, an empty
      * remainder is a root conflict).
      *
-     * @p varLimit is the sharing watermark: when >= 0, only clauses
-     * whose variables are all < varLimit are exported. Callers sharing
-     * across solvers with *identical* clause databases (cube workers)
-     * pass -1; callers sharing across sessions that only agree on a
-     * structural prefix must pass the variable count of that prefix,
-     * so clauses over later vars (activation literals, property gates
-     * — which mean different things per session) never travel.
-     *
-     * Multiple stores may be attached; each keeps its own cursor.
-     * Sharing never changes verdicts, but does make the search path —
-     * and therefore witnesses and statistics — dependent on timing.
+     * Any learned clause that passes the filter may be exported, so
+     * the attached solvers must share one clause database (cube
+     * workers replay the main solver's). Multiple stores may be attached; each keeps its own
+     * cursor. Sharing never changes verdicts, but does make the search
+     * path — and therefore witnesses and statistics — dependent on
+     * timing.
      */
-    void attachStore(std::shared_ptr<ClauseStore> store, Var varLimit = -1);
+    void attachStore(std::shared_ptr<ClauseStore> store);
 
     const ShareStats &shareStats() const { return shareStats_; }
 
@@ -245,7 +234,6 @@ class Solver {
     struct StoreAttachment {
         std::shared_ptr<ClauseStore> store;
         int source = -1;
-        Var varLimit = -1; // exported vars must be < this; -1 = any
         uint64_t cursor = 0;
     };
     std::vector<StoreAttachment> stores_;

@@ -108,23 +108,6 @@ Z3Backend::modelValue(Lit lit) const
 }
 
 void
-Z3Backend::interrupt()
-{
-    // Z3's native cancellation: flips the context's resource limit so
-    // an in-flight check() unwinds and reports unknown. Safe from any
-    // thread (that is its documented purpose).
-    impl_->ctx.interrupt();
-}
-
-void
-Z3Backend::clearInterrupt()
-{
-    // Z3 re-arms its resource limit when the next check() starts, so
-    // there is nothing to withdraw here; the portfolio's
-    // interrupt-then-reuse test pins this behaviour.
-}
-
-void
 Z3Backend::setTimeLimitMs(int64_t ms)
 {
     // Z3 interprets timeout=0 as "0 ms budget" (every check returns

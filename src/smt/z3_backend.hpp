@@ -22,8 +22,6 @@ class Z3Backend : public Backend {
     void addClause(const std::vector<Lit> &clause) override;
     SolveResult solve(const std::vector<Lit> &assumptions) override;
     void setTimeLimitMs(int64_t ms) override;
-    void interrupt() override;
-    void clearInterrupt() override;
     TruthValue modelValue(Lit lit) const override;
     int64_t numVars() const override;
     int64_t numClauses() const override;

@@ -1,14 +1,15 @@
 /**
  * @file
- * Process-wide thread budget shared by every parallelism axis.
+ * Process-wide thread budget shared by every parallelism axis, and the
+ * parallel-for that draws on it.
  *
- * gpumc now has three independent sources of threads — BatchVerifier
- * workers, the portfolio solver's racing lanes and the builtin
- * solver's cube-and-conquer farm — and each used to size itself from
- * defaultConcurrency(), multiplying into jobs x backends x cubes
- * threads. The budget makes `--jobs=N` mean what it says: every layer
- * asks the budget for helper slots before spawning, and gracefully
- * degrades to sequential execution when none are available.
+ * gpumc has nesting sources of threads — executor workers (batch
+ * verification, the serve daemon), parallelFor fan-outs (the fuzz
+ * campaign) and the builtin solver's cube-and-conquer farm — and each
+ * used to size itself from defaultConcurrency(), multiplying into
+ * jobs x cubes threads. The budget makes `--jobs=N` mean what it says:
+ * every layer asks the budget for helper slots before spawning, and
+ * gracefully degrades to sequential execution when none are available.
  *
  * Accounting counts *helper* threads only: the calling thread is free
  * (it either does a share of the work itself or blocks while lending
@@ -22,9 +23,17 @@
 #ifndef GPUMC_SUPPORT_THREAD_BUDGET_HPP
 #define GPUMC_SUPPORT_THREAD_BUDGET_HPP
 
+#include <cstdint>
+#include <functional>
 #include <mutex>
 
 namespace gpumc {
+
+/**
+ * Worker count used when a caller asks for "auto" (0) parallelism:
+ * std::thread::hardware_concurrency(), or 1 if that is unknown.
+ */
+unsigned defaultConcurrency();
 
 class ThreadBudget {
   public:
@@ -77,6 +86,22 @@ class ThreadBudget {
     unsigned total_ = 0; // 0 = defaultConcurrency()
     unsigned used_ = 0;  // helper slots currently out
 };
+
+/**
+ * Run body(i) for every i in [0, n), spread over up to @p threads
+ * threads (0 = defaultConcurrency()): the caller plus as many helper
+ * threads as the ThreadBudget grants. With one thread (or n <= 1, or
+ * no helper slot free) the body runs inline on the calling thread in
+ * index order. Determinism is the caller's job — indices are handed
+ * out dynamically, so results go into pre-sized slots.
+ *
+ * Exceptions thrown by the body are caught; after all indices finish
+ * or are abandoned, the first exception (by completion time) is
+ * rethrown on the calling thread. Once an exception is pending,
+ * not-yet-started indices are skipped.
+ */
+void parallelFor(int64_t n, unsigned threads,
+                 const std::function<void(int64_t)> &body);
 
 } // namespace gpumc
 

@@ -2,12 +2,8 @@
  * @file
  * Learned-clause sharing: the ClauseStore (publish/fetch/eviction),
  * import-at-restart re-validation against the importing solver's root
- * trail, the assumption-literal quarantine (the correctness crux: a
- * clause over one query's activation literal must never travel to a
- * solver where that variable means something else), the process-wide
- * session-store registry, and the Verifier/portfolio integration —
- * sharing on must agree verdict-for-verdict with sharing off, and the
- * share counters must surface as `solver.share.*`.
+ * trail, solvers racing on one store, and the sharing mode's place in
+ * the session key.
  *
  * The ClauseShareConcurrency suite is additionally run under
  * ThreadSanitizer as the `tsan_share_store` ctest entry.
@@ -17,11 +13,8 @@
 #include <gtest/gtest.h>
 #include <thread>
 
-#include "core/clause_share.hpp"
 #include "core/session_key.hpp"
-#include "smt/portfolio_backend.hpp"
 #include "smt/sat/solver.hpp"
-#include "support/thread_budget.hpp"
 #include "tests/test_util.hpp"
 
 namespace gpumc::test {
@@ -175,131 +168,7 @@ TEST(ClauseShareImport, UnknownVariableIsRejected)
     EXPECT_EQ(solver.shareStats().rejected, 1u);
 }
 
-// --- the assumption-literal quarantine --------------------------------
-
-/**
- * Exporter whose Unsat-under-assumption learns the unit {~act}: with
- * activation variable `act` guarding the contradictory pair
- * {~act, ~x}, {~act, x}, solving under the assumption {act} derives
- * and (absent a watermark) publishes {~act}.
- */
-void
-solveContradictionUnderActivation(const std::shared_ptr<ClauseStore> &store,
-                                  Var watermark, Solver &solver)
-{
-    Var x = solver.newVar();  // structural variable, index 0
-    Var act = solver.newVar();// activation literal, index 1
-    ASSERT_TRUE(solver.addClause({~mkLit(act), ~mkLit(x)}));
-    ASSERT_TRUE(solver.addClause({~mkLit(act), mkLit(x)}));
-    solver.attachStore(store, watermark);
-    EXPECT_FALSE(solver.solve({mkLit(act)}));
-    // The solver itself stays usable without the assumption.
-    EXPECT_TRUE(solver.solve());
-}
-
-/**
- * The crux the quarantine exists for: variable 1 is an activation
- * literal in the exporting solver but an unrelated variable in the
- * importing one. Without the watermark the exporter's learned {~act}
- * lands in the importer as {~act2} and retires a constraint group that
- * was never queried — flipping a Sat verdict to Unsat. This first test
- * documents the failure mode (and would catch the filter silently
- * applying where it must not); the second proves the watermark stops
- * the clause at export.
- */
-TEST(ClauseShareQuarantine, UnfilteredActivationClauseFlipsAVerdict)
-{
-    auto store = std::make_shared<ClauseStore>();
-    Solver exporter;
-    // varLimit -1: no watermark, the activation unit is published.
-    solveContradictionUnderActivation(store, -1, exporter);
-    EXPECT_GE(exporter.shareStats().exported, 1u);
-
-    Solver importer;
-    Var x = importer.newVar();
-    Var act2 = importer.newVar(); // same index as the exporter's `act`
-    ASSERT_TRUE(importer.addClause({~mkLit(act2), mkLit(x)}));
-    importer.attachStore(store, -1);
-
-    // Poisoned: the foreign {~act} imports as the unit {~act2}, and
-    // the assumption {act2} is then root-false — Unsat, although
-    // {act2, x} is plainly satisfiable.
-    EXPECT_FALSE(importer.solve({mkLit(act2), mkLit(x)}));
-    EXPECT_GE(importer.shareStats().imported, 1u);
-}
-
-TEST(ClauseShareQuarantine, WatermarkKeepsActivationClausesHome)
-{
-    auto store = std::make_shared<ClauseStore>();
-    Solver exporter;
-    // Watermark 1: only variable 0 is structural; the learned {~act}
-    // mentions variable 1 and must be rejected at export.
-    solveContradictionUnderActivation(store, 1, exporter);
-    EXPECT_EQ(exporter.shareStats().exported, 0u);
-    EXPECT_GE(exporter.shareStats().rejected, 1u);
-    EXPECT_EQ(store->size(), 0u);
-
-    Solver importer;
-    Var x = importer.newVar();
-    Var act2 = importer.newVar();
-    ASSERT_TRUE(importer.addClause({~mkLit(act2), mkLit(x)}));
-    importer.attachStore(store, 1);
-
-    // Nothing travelled, so the satisfiable query stays satisfiable.
-    EXPECT_TRUE(importer.solve({mkLit(act2), mkLit(x)}));
-    EXPECT_EQ(importer.modelValue(mkLit(x)), LBool::True);
-    EXPECT_EQ(importer.shareStats().imported, 0u);
-}
-
-// --- the process-wide session-store registry --------------------------
-
-core::SessionKey
-keyNumbered(uint64_t n)
-{
-    core::SessionKey key{};
-    std::get<0>(key) = n;
-    return key;
-}
-
-TEST(ClauseShareRegistry, SameKeySameStore)
-{
-    core::clearSharedClauseStores();
-    std::shared_ptr<ClauseStore> first =
-        core::sharedClauseStore(keyNumbered(1));
-    EXPECT_EQ(core::sharedClauseStore(keyNumbered(1)).get(), first.get());
-    EXPECT_EQ(core::sharedClauseStoreCount(), 1u);
-    EXPECT_NE(core::sharedClauseStore(keyNumbered(2)).get(), first.get());
-    EXPECT_EQ(core::sharedClauseStoreCount(), 2u);
-    core::clearSharedClauseStores();
-    EXPECT_EQ(core::sharedClauseStoreCount(), 0u);
-}
-
-TEST(ClauseShareRegistry, LruEvictionKeepsRecentlyTouchedKeys)
-{
-    core::clearSharedClauseStores();
-    std::shared_ptr<ClauseStore> zero =
-        core::sharedClauseStore(keyNumbered(0));
-    std::shared_ptr<ClauseStore> one =
-        core::sharedClauseStore(keyNumbered(1));
-    for (uint64_t n = 2; n < 64; ++n)
-        core::sharedClauseStore(keyNumbered(n));
-    EXPECT_EQ(core::sharedClauseStoreCount(), 64u);
-
-    // Touch key 0, then push one key past the cap: key 1 — now the
-    // least recently used — is the one evicted.
-    core::sharedClauseStore(keyNumbered(0));
-    core::sharedClauseStore(keyNumbered(64));
-    EXPECT_EQ(core::sharedClauseStoreCount(), 64u);
-    EXPECT_EQ(core::sharedClauseStore(keyNumbered(0)).get(), zero.get());
-    EXPECT_NE(core::sharedClauseStore(keyNumbered(1)).get(), one.get());
-
-    // The evicted store stays valid for live attachments.
-    one->publish(one->registerSource(), {mkLit(0)});
-    EXPECT_EQ(one->size(), 1u);
-    core::clearSharedClauseStores();
-}
-
-// --- Verifier / portfolio integration ---------------------------------
+// --- the Verifier ---------------------------------------------------
 
 TEST(ClauseShareVerifier, ShareModeIsPartOfTheSessionKey)
 {
@@ -307,103 +176,11 @@ TEST(ClauseShareVerifier, ShareModeIsPartOfTheSessionKey)
         litmusPath("vulkan/basic/mp-rel-acq.litmus"));
     core::VerifierOptions off;
     core::VerifierOptions on = off;
-    on.clauseShare = smt::ClauseShareMode::Session;
+    on.clauseShare = smt::ClauseShareMode::Cube;
     // Different sharing modes must never alias pooled sessions or
     // cached results.
     EXPECT_NE(core::sessionKey(program, vulkanModel(), off),
               core::sessionKey(program, vulkanModel(), on));
-}
-
-std::string
-describe(const core::VerificationResult &result)
-{
-    if (result.unknown)
-        return "unknown";
-    return result.holds ? "holds" : "fails";
-}
-
-TEST(ClauseShareVerifier, SessionSharingKeepsVerdictsAndImports)
-{
-    core::clearSharedClauseStores();
-    prog::Program program = litmus::parseLitmusFile(
-        litmusPath("vulkan/basic/mp-rel-acq.litmus"));
-
-    core::VerifierOptions off;
-    off.validateWitness = true;
-    core::Verifier baseline(program, vulkanModel(), off);
-    std::vector<core::VerificationResult> offResults =
-        baseline.checkAll();
-
-    core::VerifierOptions on = off;
-    on.clauseShare = smt::ClauseShareMode::Session;
-    core::Verifier first(program, vulkanModel(), on);
-    std::vector<core::VerificationResult> warmup = first.checkAll();
-    core::Verifier second(program, vulkanModel(), on);
-    std::vector<core::VerificationResult> onResults = second.checkAll();
-
-    ASSERT_EQ(offResults.size(), onResults.size());
-    for (size_t i = 0; i < offResults.size(); ++i) {
-        EXPECT_EQ(describe(offResults[i]), describe(onResults[i])) << i;
-        EXPECT_EQ(describe(warmup[i]), describe(onResults[i])) << i;
-    }
-
-    // The first sharing verifier published into the session store and
-    // the rebuilt one imported from it; sharing-off runs carry no
-    // share counters at all.
-    int64_t exported = 0, imported = 0;
-    for (const core::VerificationResult &result : warmup)
-        exported += result.stats.get("solver.share.exported");
-    for (const core::VerificationResult &result : onResults)
-        imported += result.stats.get("solver.share.imported");
-    EXPECT_GT(exported, 0);
-    EXPECT_GT(imported, 0);
-    EXPECT_EQ(offResults.back().stats.get("solver.share.imported"), 0);
-    EXPECT_EQ(core::sharedClauseStoreCount(), 1u);
-    core::clearSharedClauseStores();
-}
-
-TEST(ClauseShareVerifier, PortfolioLiftsShareCountersAboveLaneNamespace)
-{
-    core::clearSharedClauseStores();
-    ThreadBudget::instance().setTotal(4);
-    // Let the builtin lane win so its share counters are the live ones
-    // and Z3 is the cancelled loser on every query.
-    smt::PortfolioBackend::setTestDelays(0, 200);
-
-    prog::Program program = litmus::parseLitmusFile(
-        litmusPath("vulkan/basic/mp-rel-acq.litmus"));
-    core::VerifierOptions options;
-    options.backend = smt::BackendKind::Portfolio;
-    options.clauseShare = smt::ClauseShareMode::Session;
-    core::Verifier verifier(program, vulkanModel(), options);
-    std::vector<core::VerificationResult> results = verifier.checkAll();
-    ASSERT_FALSE(results.empty());
-
-    // The sharing counters keep their canonical `solver.share.*` home;
-    // everything else from the lanes stays quarantined under
-    // `solver.portfolio.*` so a cancelled lane's work never
-    // masquerades as single-backend counters. solveCalls is the
-    // per-result delta: exactly one query each.
-    bool sawShareKey = false;
-    for (const core::VerificationResult &result : results) {
-        for (const auto &[key, value] : result.stats.all()) {
-            if (key.rfind("solver.", 0) != 0)
-                continue;
-            sawShareKey =
-                sawShareKey || key.rfind("solver.share.", 0) == 0;
-            EXPECT_TRUE(key.rfind("solver.portfolio.", 0) == 0 ||
-                        key.rfind("solver.share.", 0) == 0 ||
-                        key == "solver.solveCalls")
-                << key;
-        }
-        EXPECT_EQ(result.stats.get("solver.solveCalls"), 1);
-        EXPECT_EQ(result.stats.get("solver.conflicts"), 0);
-    }
-    EXPECT_TRUE(sawShareKey);
-
-    smt::PortfolioBackend::setTestDelays(0, 0);
-    ThreadBudget::instance().setTotal(0);
-    core::clearSharedClauseStores();
 }
 
 // --- concurrency (also the tsan_share_store ctest entry) --------------
@@ -476,27 +253,6 @@ TEST(ClauseShareConcurrency, SolversRacingOnOneStoreAgree)
     EXPECT_TRUE(first);
     EXPECT_TRUE(second);
     EXPECT_GT(store->counters().published, 0);
-}
-
-TEST(ClauseShareConcurrency, RegistryHammer)
-{
-    core::clearSharedClauseStores();
-    constexpr int kThreads = 4;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t] {
-            for (uint64_t n = 0; n < 96; ++n) {
-                std::shared_ptr<ClauseStore> store =
-                    core::sharedClauseStore(
-                        keyNumbered((n + t * 17) % 80));
-                store->publish(store->registerSource(), {mkLit(0)});
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    EXPECT_LE(core::sharedClauseStoreCount(), 64u);
-    core::clearSharedClauseStores();
 }
 
 } // namespace

@@ -20,6 +20,15 @@ struct CrossCase {
     const char *source;
 };
 
+// gtest lists each parameter beside its test name. Without a printer it
+// dumps the two pointers, which move with the load address, so the
+// listed name would change from one run to the next.
+void
+PrintTo(const CrossCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 // A spread of classic patterns in both dialects, with mixed memory
 // orders, scopes and storage classes.
 const CrossCase kCases[] = {

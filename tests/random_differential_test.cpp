@@ -27,6 +27,15 @@ struct RandomConfig {
     uint64_t seed;
 };
 
+// gtest lists each parameter beside its test name. Without a printer it
+// dumps the struct's bytes, padding included, so the listed name would
+// change from one build to the next.
+void
+PrintTo(const RandomConfig &config, std::ostream *os)
+{
+    *os << archName(config.arch) << " seed " << config.seed;
+}
+
 class RandomDifferential
     : public ::testing::TestWithParam<RandomConfig> {};
 
@@ -77,9 +86,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomConfig{Arch::Vulkan, 3003},
                       RandomConfig{Arch::Vulkan, 4004}),
     [](const auto &info) {
-        return std::string(info.param.arch == Arch::Ptx ? "ptx"
-                                                        : "vulkan") +
-               "_" + std::to_string(info.param.seed);
+        return std::string(archName(info.param.arch)) + "_" +
+               std::to_string(info.param.seed);
     });
 
 } // namespace

@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit and property tests for the built-in CDCL SAT solver: hand
- * instances, pigeonhole UNSATs, assumptions, incremental use, and a
- * randomized cross-check against brute-force enumeration.
+ * instances, pigeonhole UNSATs, assumptions, incremental use,
+ * cross-thread interrupts, and a randomized cross-check against
+ * brute-force enumeration.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "smt/sat/solver.hpp"
 
@@ -71,9 +74,8 @@ TEST(SatSolver, XorChainSat)
 
 /** Pigeonhole principle: n+1 pigeons, n holes — classic UNSAT. */
 void
-pigeonhole(int holes)
+addPigeonhole(Solver &solver, int holes)
 {
-    Solver solver;
     int pigeons = holes + 1;
     std::vector<std::vector<Var>> at(pigeons, std::vector<Var>(holes));
     for (int p = 0; p < pigeons; ++p) {
@@ -92,6 +94,13 @@ pigeonhole(int holes)
                 solver.addClause({~mkLit(at[p1][h]), ~mkLit(at[p2][h])});
         }
     }
+}
+
+void
+pigeonhole(int holes)
+{
+    Solver solver;
+    addPigeonhole(solver, holes);
     EXPECT_FALSE(solver.solve()) << "PHP(" << holes << ") must be UNSAT";
 }
 
@@ -103,6 +112,23 @@ TEST(SatSolver, Pigeonhole4)
 TEST(SatSolver, Pigeonhole6)
 {
     pigeonhole(6);
+}
+
+TEST(SatSolver, InterruptFromAnotherThreadStopsUnlimitedSolve)
+{
+    // PHP(12,11) takes minutes unaided; the cross-thread interrupt has
+    // to be what brings the unlimited solve back. Cube-and-conquer
+    // relies on it: a Sat cube cancels its higher-index siblings.
+    Solver solver;
+    addPigeonhole(solver, 11);
+    std::thread canceller([&solver] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        solver.interrupt();
+    });
+    Stopwatch watch;
+    EXPECT_EQ(solver.solveLimited(), Solver::Status::Unknown);
+    EXPECT_LT(watch.elapsedMs(), 10000.0);
+    canceller.join();
 }
 
 TEST(SatSolver, Assumptions)

@@ -353,6 +353,7 @@ TEST(Protocol, RejectsMalformedRequests)
         {R"({"litmus":"x","model":"m","bound":65})", "bound"},
         {R"({"litmus":"x","model":"m","bound":-1})", "bound"},
         {R"({"litmus":"x","model":"m","backend":"cvc5"})", "backend"},
+        {R"({"litmus":"x","model":"m","backend":"portfolio"})", "backend"},
         {R"({"litmus":"x","model":"m","timeout_ms":-5})", "timeout"},
         {R"({"litmus":"x","model":"m","no_cache":1})", "no_cache"},
     };

@@ -1,7 +1,7 @@
 /**
  * @file
- * smt::Backend time-limit semantics, identical across all three
- * shipped backends: setTimeLimitMs(ms <= 0) must restore the backend's
+ * smt::Backend time-limit semantics, identical across both shipped
+ * backends: setTimeLimitMs(ms <= 0) must restore the backend's
  * unlimited default, not install a zero-millisecond budget.
  *
  * Regression: Z3 interprets the `timeout` parameter literally, so
@@ -126,8 +126,7 @@ TEST_P(TimeLimit, TimedOutSolveDoesNotPoisonLaterQueries)
 
 INSTANTIATE_TEST_SUITE_P(Backends, TimeLimit,
                          ::testing::Values(smt::BackendKind::Builtin,
-                                           smt::BackendKind::Z3,
-                                           smt::BackendKind::Portfolio),
+                                           smt::BackendKind::Z3),
                          [](const auto &info) {
                              return smt::backendKindName(info.param);
                          });
@@ -185,8 +184,7 @@ TEST_P(ArmTimeLimit, LiveDeadlineForwardsItsRemainder)
 
 INSTANTIATE_TEST_SUITE_P(Backends, ArmTimeLimit,
                          ::testing::Values(smt::BackendKind::Builtin,
-                                           smt::BackendKind::Z3,
-                                           smt::BackendKind::Portfolio),
+                                           smt::BackendKind::Z3),
                          [](const auto &info) {
                              return smt::backendKindName(info.param);
                          });

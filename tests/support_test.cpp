@@ -13,7 +13,7 @@
 #include "support/diagnostics.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
-#include "support/thread_pool.hpp"
+#include "support/thread_budget.hpp"
 
 namespace gpumc {
 namespace {
@@ -112,22 +112,6 @@ TEST(StringUtils, ParseInt)
     EXPECT_FALSE(parseInt("1 2"));
     EXPECT_FALSE(parseInt("4.5"));
     EXPECT_FALSE(parseInt("99999999999999999999")); // overflow
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> counter{0};
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-
-    // The pool is reusable after wait().
-    pool.submit([&] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 101);
 }
 
 TEST(ThreadPool, DefaultConcurrencyIsPositive)

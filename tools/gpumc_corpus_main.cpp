@@ -5,7 +5,7 @@
  * CLI counterpart of the corpus regression suite.
  *
  *   gpumc-corpus <directory> [--bound=N]
- *                [--backend=z3|builtin|portfolio] [--cube-depth=N]
+ *                [--backend=z3|builtin] [--cube-depth=N]
  *                [--jobs=N] [--timeout=MS] [--json[=FILE]]
  *                [--fresh-sessions] [--server=HOST:PORT|unix:PATH]
  *
@@ -51,7 +51,6 @@
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
 #include "support/thread_budget.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 using namespace gpumc;
@@ -98,15 +97,13 @@ usage()
         << "usage: gpumc-corpus <directory> [options]\n"
            "  --bound=N     loop unroll bound (overridden by a test's "
            "`bound` meta key)\n"
-           "  --backend=z3|builtin|portfolio   (default: builtin;\n"
-           "                portfolio races both per query, first "
-           "verdict wins)\n"
+           "  --backend=z3|builtin   (default: builtin)\n"
            "  --cube-depth=N  split builtin-solver queries into 2^N "
            "cubes\n"
            "                solved in parallel (default: 0, off)\n"
-           "  --clause-share=on|off|cube|session  learned-clause "
-           "sharing in\n"
-           "                the builtin CDCL solver (default: off)\n"
+           "  --clause-share=off|cube  share learned clauses between "
+           "the cube\n"
+           "                solvers (default: off)\n"
            "  --engine=smt|dpor|explicit  verification engine (default: "
            "smt).\n"
            "                dpor/explicit answer safety and drf "
@@ -115,10 +112,10 @@ usage()
            "expectations report\n"
            "                UNKN under them\n"
            "  --jobs=N      total thread budget shared by batch "
-           "workers,\n"
-           "                portfolio lanes and cube solvers (default: "
-           "hardware\n"
-           "                concurrency; 1 = sequential)\n"
+           "workers and\n"
+           "                cube solvers (default: hardware "
+           "concurrency;\n"
+           "                1 = sequential)\n"
            "  --timeout=MS  solver budget per query; exhausted queries "
            "report UNKN\n"
            "  --json[=FILE] machine-readable report to stdout (sole "
@@ -156,6 +153,7 @@ parseArgs(int argc, char **argv)
     opts.dir = argv[1];
     if (startsWith(opts.dir, "--"))
         usage();
+    bool cubeFlags = false; // --cube-depth or --clause-share given
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
         if (startsWith(arg, "--bound=")) {
@@ -171,15 +169,15 @@ parseArgs(int argc, char **argv)
             opts.verifier.backend = smt::BackendKind::Z3;
         } else if (arg == "--backend=builtin") {
             opts.verifier.backend = smt::BackendKind::Builtin;
-        } else if (arg == "--backend=portfolio") {
-            opts.verifier.backend = smt::BackendKind::Portfolio;
         } else if (startsWith(arg, "--cube-depth=")) {
             opts.verifier.cubeDepth = static_cast<int>(
                 cliInt("--cube-depth", arg.substr(13), 0, 16));
+            cubeFlags = true;
         } else if (startsWith(arg, "--clause-share=")) {
             if (!smt::parseClauseShareMode(arg.substr(15),
                                            opts.verifier.clauseShare))
                 usage();
+            cubeFlags = true;
         } else if (arg == "--engine=smt") {
             opts.engine = EngineKind::Smt;
         } else if (arg == "--engine=dpor") {
@@ -215,6 +213,13 @@ parseArgs(int argc, char **argv)
     if (opts.engine != EngineKind::Smt && !opts.server.empty()) {
         std::cerr << "gpumc-corpus: --server only supports "
                      "--engine=smt\n";
+        usage();
+    }
+    if (cubeFlags && !opts.server.empty()) {
+        // The wire request carries no cube options, so the daemon
+        // would silently verify without them.
+        std::cerr << "gpumc-corpus: --server does not support "
+                     "--cube-depth or --clause-share\n";
         usage();
     }
     opts.verifier.wantWitness = false;
@@ -627,9 +632,9 @@ main(int argc, char **argv)
 {
     CliOptions opts = parseArgs(argc, argv);
     trace::enableFromCli(opts.tracePath, opts.metricsPath);
-    // --jobs is the *total* thread cap: batch workers, portfolio lanes
-    // and cube solvers all draw from this one budget, so jobs x
-    // backends oversubscription cannot happen.
+    // --jobs is the *total* thread cap: batch workers and cube solvers
+    // both draw from this one budget, so jobs x cubes oversubscription
+    // cannot happen.
     ThreadBudget::instance().setTotal(opts.jobs);
 
     cat::CatModel ptx60 = cat::CatModel::fromFile(

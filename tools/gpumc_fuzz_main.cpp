@@ -5,19 +5,17 @@
  * round-trip, SMT vs the explicit-state enumerator, Z3 vs the built-in
  * solver, and bound monotonicity) plus, with --session-reuse, a fifth
  * comparing shared-session checkAll() against fresh sessions, with
- * --portfolio a sixth comparing the racing portfolio backend against
- * both single backends, and with --clause-sharing a seventh comparing
- * the builtin backend with learned-clause sharing on against the
- * sharing-off baseline, and with --dpor an eighth comparing the DPOR
- * stateless model-checking engine against the SMT verdicts;
+ * --clause-sharing a sixth comparing the builtin backend with
+ * cube-scope clause sharing against the sharing-off baseline, and with
+ * --dpor a seventh comparing the DPOR stateless model-checking engine
+ * against the SMT verdicts;
  * disagreements are delta-debugged into minimal `.litmus` repro files.
  *
  *   gpumc-fuzz [--seed=N] [--runs=N] [--jobs=N] [--arch=ptx|vulkan|both]
  *              [--profile=basic|cf|full] [--bound=N] [--out-dir=DIR]
  *              [--inject=bound-gap] [--no-shrink] [--max-shrinks=N]
  *              [--timeout=MS] [--verify-determinism]
- *              [--session-reuse] [--portfolio] [--clause-sharing]
- *              [--dpor]
+ *              [--session-reuse] [--clause-sharing] [--dpor]
  *
  * The verdict log is deterministic for a fixed seed: identical across
  * runs and across --jobs values (SMT queries are fanned out through
@@ -58,7 +56,6 @@ struct CliOptions {
     std::string outDir;
     bool injectBoundGap = false;
     bool sessionReuse = false;
-    bool portfolio = false;
     bool clauseSharing = false;
     bool dpor = false;
     bool shrink = true;
@@ -89,11 +86,8 @@ usage()
            "  --session-reuse   also cross-check every case's shared\n"
            "                    checkAll() session against three fresh\n"
            "                    sessions, on both backends\n"
-           "  --portfolio       also cross-check the racing portfolio\n"
-           "                    backend's verdicts against both single\n"
-           "                    backends\n"
            "  --clause-sharing  also cross-check the builtin backend\n"
-           "                    with learned-clause sharing on against\n"
+           "                    with cube-scope clause sharing against\n"
            "                    the sharing-off baseline\n"
            "  --dpor            also cross-check every case through the\n"
            "                    DPOR stateless model-checking engine\n"
@@ -158,8 +152,6 @@ parseArgs(int argc, char **argv)
             opts.injectBoundGap = true;
         } else if (arg == "--session-reuse") {
             opts.sessionReuse = true;
-        } else if (arg == "--portfolio") {
-            opts.portfolio = true;
         } else if (arg == "--clause-sharing") {
             opts.clauseSharing = true;
         } else if (arg == "--dpor") {
@@ -223,7 +215,6 @@ campaignOptions(const CliOptions &opts, prog::Arch arch,
     if (opts.injectBoundGap)
         co.oracle.z3Bound = opts.bound - 1;
     co.oracle.sessionReuse = opts.sessionReuse;
-    co.oracle.portfolioVsSingle = opts.portfolio;
     co.oracle.clauseSharing = opts.clauseSharing;
     co.oracle.dpor = opts.dpor;
     co.oracle.solverTimeoutMs = opts.solverTimeoutMs;
@@ -242,7 +233,7 @@ main(int argc, char **argv)
     CliOptions opts = parseArgs(argc, argv);
     trace::enableFromCli(opts.tracePath, opts.metricsPath);
     // --jobs caps total concurrency across campaign workers and any
-    // portfolio lanes the oracles spin up.
+    // cube solvers the oracles spin up.
     ThreadBudget::instance().setTotal(opts.jobs);
 
     cat::CatModel ptx75 = cat::CatModel::fromFile(

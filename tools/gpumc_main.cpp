@@ -5,7 +5,7 @@
  *
  *   gpumc <test.litmus|test.spvasm> <model.cat>
  *         [--property=program_spec|cat_spec|liveness] [--all-properties]
- *         [--bound=N] [--backend=z3|builtin|portfolio] [--cube-depth=N]
+ *         [--bound=N] [--backend=z3|builtin] [--cube-depth=N]
  *         [--grid=X.Y] [--witness] [--dot=<out.dot>] [--explicit]
  *
  * --all-properties checks program_spec, liveness and cat_spec on one
@@ -59,15 +59,13 @@ usage()
         "  --bound=N          loop unroll bound (default: 2)\n"
         "  --timeout=MS       solver budget per property check (0 = "
         "unlimited)\n"
-        "  --backend=z3|builtin|portfolio\n"
-        "                     portfolio races z3 and the builtin CDCL\n"
-        "                     solver per query, first verdict wins\n"
+        "  --backend=z3|builtin  SMT backend (default: builtin)\n"
         "  --cube-depth=N     split builtin-solver queries into 2^N\n"
         "                     cubes solved in parallel (default: 0, "
         "off)\n"
-        "  --clause-share=on|off|cube|session\n"
-        "                     learned-clause sharing in the builtin\n"
-        "                     CDCL solver (default: off)\n"
+        "  --clause-share=off|cube\n"
+        "                     share learned clauses between the cube\n"
+        "                     solvers (default: off)\n"
         "  --grid=X.Y         thread grid for SPIR-V kernels\n"
         "  --witness          print the witness execution\n"
         "  --dot=FILE         write the witness as a GraphViz graph\n"
@@ -130,8 +128,6 @@ parseArgs(int argc, char **argv)
                 opts.verifier.backend = smt::BackendKind::Builtin;
             } else if (value == "z3") {
                 opts.verifier.backend = smt::BackendKind::Z3;
-            } else if (value == "portfolio") {
-                opts.verifier.backend = smt::BackendKind::Portfolio;
             } else {
                 usage();
             }

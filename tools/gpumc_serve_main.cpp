@@ -10,8 +10,7 @@
  *   gpumc-serve [--stdio | --listen=HOST:PORT | --unix=PATH]
  *               [--jobs=N] [--queue=N] [--result-cache=N]
  *               [--session-cache=N] [--max-timeout=MS] [--cat-dir=DIR]
- *               [--cache-file=PATH] [--clause-share=MODE]
- *               [--trace=FILE] [--metrics=FILE]
+ *               [--cache-file=PATH] [--trace=FILE] [--metrics=FILE]
  */
 
 #include <cstdint>
@@ -44,8 +43,8 @@ usage()
         "  --listen=HOST:PORT serve a TCP socket (port 0 = ephemeral;\n"
         "                     the chosen port is printed on startup)\n"
         "  --unix=PATH        serve a unix-domain socket\n"
-        "  --jobs=N           total thread budget (workers, portfolio\n"
-        "                     lanes, cube solvers; default: cores)\n"
+        "  --jobs=N           verification worker threads (default:\n"
+        "                     cores)\n"
         "  --queue=N          admission queue bound; requests beyond\n"
         "                     it are answered 'overloaded' (default: "
         "64)\n"
@@ -59,9 +58,6 @@ usage()
         "  --cache-file=PATH  persist the verdict cache: loaded on\n"
         "                     startup (silently cold on a missing or\n"
         "                     incompatible file), written on shutdown\n"
-        "  --clause-share=on|off|cube|session\n"
-        "                     learned-clause sharing in the builtin\n"
-        "                     CDCL solver (default: off)\n"
         "  --trace=FILE       Chrome trace JSON on exit\n"
         "  --metrics=FILE     metrics JSON on exit (the same data is\n"
         "                     available live via the 'metrics' op)\n";
@@ -123,10 +119,6 @@ parseArgs(int argc, char **argv)
             if (value.empty())
                 usage();
             opts.engine.cacheFile = value;
-        } else if (key == "clause-share") {
-            if (!smt::parseClauseShareMode(value,
-                                           opts.engine.clauseShare))
-                usage();
         } else if (key == "trace") {
             opts.tracePath = value;
         } else if (key == "metrics") {
@@ -149,8 +141,8 @@ main(int argc, char **argv)
     try {
         CliOptions opts = parseArgs(argc, argv);
         trace::enableFromCli(opts.tracePath, opts.metricsPath);
-        // One shared budget, like gpumc-corpus: serve workers,
-        // portfolio lanes and cube solvers must not multiply.
+        // One shared budget, like gpumc-corpus: the serve workers
+        // lease their threads from it.
         ThreadBudget::instance().setTotal(opts.jobs);
         opts.engine.jobs = opts.jobs;
 
