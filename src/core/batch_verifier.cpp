@@ -36,10 +36,6 @@ BatchVerifier::run(const std::vector<BatchJob> &batch,
         const BatchJob &job = batch[i];
         GPUMC_ASSERT(job.program && job.model,
                      "BatchJob without program/model");
-        if (!job.shareSession) {
-            groups.push_back({{i}});
-            continue;
-        }
         SessionKey key = sessionKey(*job.program, *job.model, job.options);
         auto [it, inserted] = groupOf.try_emplace(key, groups.size());
         if (inserted)

@@ -43,17 +43,6 @@ struct BatchJob {
     /** Free-form tag echoed into the matching BatchEntry (e.g. the
      *  source file plus model name); not interpreted. */
     std::string label;
-    /**
-     * Allow this job to share one live session with other jobs of the
-     * same session-cache group (equal program fingerprint, model
-     * content fingerprint, backend, effective encoding parameters; for
-     * straight-line
-     * programs the unroll bound is ignored, since their unrolling is
-     * bound-independent — this is what lets ascending-bound re-solves
-     * reuse lower-bound sessions soundly). Set to false to force a
-     * fresh pipeline per job, e.g. for fresh-vs-shared benchmarking.
-     */
-    bool shareSession = true;
 };
 
 /** Outcome of one BatchJob, at the same index as its job. */

@@ -95,7 +95,8 @@ class Tracer {
     /**
      * Write one of the exports to @p path. Returns false (and fills
      * @p error) when the file cannot be written — shared by the
-     * --trace/--metrics handling of all three CLI tools.
+     * --trace/--metrics handling of gpumc, gpumc-corpus, gpumc-fuzz
+     * and gpumc-serve.
      */
     bool writeChromeTraceFile(const std::string &path,
                               std::string &error) const;

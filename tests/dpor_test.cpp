@@ -318,6 +318,45 @@ exists (P3:r0 == 3)
     EXPECT_LT(d.candidatesExplored, e.candidatesExplored);
 }
 
+TEST(DporChecker, CompletesWhereExplicitExhaustsTheSameBudget)
+{
+    // Four writers per location: the baseline's candidate space (rf
+    // choices x canonical partial coherence per location) is in the
+    // millions, while DPOR stops at the first consistent witness.
+    const char *source = R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 | P2@cta 0,gpu 0 | P3@cta 0,gpu 0 | P4@cta 0,gpu 0 ;
+st.weak x, 1   | st.weak x, 2   | st.weak x, 3   | st.weak x, 4   | ld.weak r0, x  ;
+st.weak y, 1   | st.weak y, 2   | st.weak y, 3   | st.weak y, 4   | ld.weak r1, y  ;
+exists (P4:r0 == 1 /\ P4:r1 == 2)
+)";
+    prog::Program program = litmus::parseLitmus(source);
+    const uint64_t budget = 500;
+
+    expl::ExplicitOptions eopts;
+    eopts.maxCandidates = budget;
+    expl::ExplicitChecker explicitChecker(program, ptx75Model(), eopts);
+    expl::ExplicitResult e = explicitChecker.run();
+    ASSERT_TRUE(e.supported);
+    EXPECT_TRUE(e.timedOut);
+
+    dpor::DporOptions dopts;
+    dopts.maxCandidates = budget;
+    dpor::DporResult d = runDpor(program, ptx75Model(), dopts);
+    ASSERT_TRUE(d.supported);
+    ASSERT_FALSE(d.timedOut);
+    EXPECT_LE(d.candidatesExplored, 8u);
+    EXPECT_TRUE(d.conditionHolds);
+
+    core::VerifierOptions vopts;
+    vopts.backend = smt::BackendKind::Builtin;
+    vopts.wantWitness = false;
+    core::Verifier verifier(program, ptx75Model(), vopts);
+    core::VerificationResult safety = verifier.checkSafety();
+    ASSERT_FALSE(safety.unknown);
+    EXPECT_EQ(d.conditionHolds, safety.holds);
+}
+
 // ---------------------------------------------------------------------
 // Budgets: maxCandidates and the external Deadline both stop the
 // exploration loop with timedOut set.

@@ -28,6 +28,11 @@ vulkanMp()
         litmusPath("vulkan/basic/mp-rel-acq.litmus"));
 }
 
+/** The checkAll() order. */
+const core::Property kThreeProperties[] = {core::Property::Safety,
+                                           core::Property::Liveness,
+                                           core::Property::CatSpec};
+
 std::string
 describe(const core::VerificationResult &result)
 {
@@ -80,12 +85,9 @@ TEST_P(SessionReuse, ThreePropertiesBuildThePipelineOnce)
     EXPECT_EQ(results.back().stats.get("solver.solveCalls"), 1);
 
     // Verdict-for-verdict agreement with fresh single-property runs.
-    const core::Property props[] = {core::Property::Safety,
-                                    core::Property::Liveness,
-                                    core::Property::CatSpec};
     for (size_t i = 0; i < 3; ++i) {
         core::Verifier fresh(program, vulkanModel(), opts_);
-        core::VerificationResult expected = fresh.check(props[i]);
+        core::VerificationResult expected = fresh.check(kThreeProperties[i]);
         EXPECT_EQ(describe(results[i]), describe(expected)) << i;
     }
 }
@@ -128,21 +130,32 @@ total(const std::vector<core::BatchEntry> &entries, const char *key)
 }
 
 std::vector<core::BatchJob>
-threePropertyJobs(const prog::Program &program, bool share)
+threePropertyJobs(const prog::Program &program)
 {
     std::vector<core::BatchJob> jobs;
-    for (core::Property property :
-         {core::Property::Safety, core::Property::Liveness,
-          core::Property::CatSpec}) {
+    for (core::Property property : kThreeProperties) {
         core::BatchJob job;
         job.program = &program;
         job.model = &vulkanModel();
         job.options.wantWitness = false;
         job.property = property;
-        job.shareSession = share;
         jobs.push_back(job);
     }
     return jobs;
+}
+
+/** The baseline: one fresh core::Verifier per property. */
+std::vector<core::VerificationResult>
+freshThreeProperties(const prog::Program &program)
+{
+    core::VerifierOptions options;
+    options.wantWitness = false;
+    std::vector<core::VerificationResult> results;
+    for (core::Property property : kThreeProperties) {
+        core::Verifier fresh(program, vulkanModel(), options);
+        results.push_back(fresh.check(property));
+    }
+    return results;
 }
 
 TEST(SessionCache, BatchGroupsSameKeyJobsOntoOneSession)
@@ -151,21 +164,23 @@ TEST(SessionCache, BatchGroupsSameKeyJobsOntoOneSession)
     core::BatchVerifier engine(2);
 
     std::vector<core::BatchEntry> shared =
-        engine.run(threePropertyJobs(program, true));
+        engine.run(threePropertyJobs(program));
     EXPECT_EQ(total(shared, "sessionsBuilt"), 1);
     EXPECT_EQ(total(shared, "sessionsReused"), 2);
 
-    std::vector<core::BatchEntry> fresh =
-        engine.run(threePropertyJobs(program, false));
-    EXPECT_EQ(total(fresh, "sessionsBuilt"), 3);
-    EXPECT_EQ(total(fresh, "sessionsReused"), 0);
+    std::vector<core::VerificationResult> fresh =
+        freshThreeProperties(program);
+    int64_t freshBuilt = 0, freshReused = 0;
+    for (const core::VerificationResult &result : fresh) {
+        freshBuilt += result.stats.get("sessionsBuilt");
+        freshReused += result.stats.get("sessionsReused");
+    }
+    EXPECT_EQ(freshBuilt, 3);
+    EXPECT_EQ(freshReused, 0);
 
     ASSERT_EQ(shared.size(), fresh.size());
-    for (size_t i = 0; i < shared.size(); ++i) {
-        EXPECT_EQ(describe(shared[i].result),
-                  describe(fresh[i].result))
-            << i;
-    }
+    for (size_t i = 0; i < shared.size(); ++i)
+        EXPECT_EQ(describe(shared[i].result), describe(fresh[i])) << i;
 }
 
 TEST(SessionCache, StraightLineProgramsReuseAcrossBounds)
@@ -211,34 +226,29 @@ TEST(SessionCache, StraightLineProgramsReuseAcrossBounds)
 TEST(SessionCache, ParallelSharedMatchesSequentialFresh)
 {
     std::deque<prog::Program> programs;
-    std::vector<core::BatchJob> shared, fresh;
+    std::vector<core::BatchJob> shared;
+    std::vector<core::VerificationResult> fresh;
     for (const char *file :
          {"vulkan/basic/mp-rel-acq.litmus", "vulkan/basic/mp-rlx.litmus",
           "vulkan/basic/mp-nonatomic-flag-race.litmus",
           "vulkan/basic/sb-rel-acq.litmus"}) {
         programs.push_back(litmus::parseLitmusFile(litmusPath(file)));
-        for (core::BatchJob &job :
-             threePropertyJobs(programs.back(), true))
+        for (core::BatchJob &job : threePropertyJobs(programs.back()))
             shared.push_back(job);
-        for (core::BatchJob &job :
-             threePropertyJobs(programs.back(), false))
-            fresh.push_back(job);
+        for (core::VerificationResult &result :
+             freshThreeProperties(programs.back()))
+            fresh.push_back(std::move(result));
     }
 
     core::BatchVerifier parallel(4);
-    core::BatchVerifier sequential(1);
     std::vector<core::BatchEntry> sharedEntries = parallel.run(shared);
-    std::vector<core::BatchEntry> freshEntries = sequential.run(fresh);
-    ASSERT_EQ(sharedEntries.size(), freshEntries.size());
+    ASSERT_EQ(sharedEntries.size(), fresh.size());
     for (size_t i = 0; i < sharedEntries.size(); ++i) {
         ASSERT_FALSE(sharedEntries[i].failed) << sharedEntries[i].error;
-        ASSERT_FALSE(freshEntries[i].failed) << freshEntries[i].error;
-        EXPECT_EQ(describe(sharedEntries[i].result),
-                  describe(freshEntries[i].result))
+        EXPECT_EQ(describe(sharedEntries[i].result), describe(fresh[i]))
             << i;
     }
     EXPECT_EQ(total(sharedEntries, "sessionsBuilt"), 4);
-    EXPECT_EQ(total(freshEntries, "sessionsBuilt"), 12);
 }
 
 TEST(SessionReuseTimeout, TimedOutCheckDoesNotPoisonTheSession)

@@ -7,7 +7,7 @@
  *   gpumc-corpus <directory> [--bound=N]
  *                [--backend=z3|builtin] [--cube-depth=N]
  *                [--jobs=N] [--timeout=MS] [--json[=FILE]]
- *                [--fresh-sessions] [--server=HOST:PORT|unix:PATH]
+ *                [--server=HOST:PORT|unix:PATH]
  *
  * With --server the tool becomes a thin client of a running
  * gpumc-serve daemon: every query is sent as a line-delimited JSON
@@ -18,8 +18,7 @@
  * Queries (one per file x model x property expectation) are fanned out
  * across worker threads by core::BatchVerifier; queries of one file
  * against one model share a live incremental session (the pipeline
- * runs once per file x model; pass --fresh-sessions to rebuild it per
- * query, for A/B comparison), and results are reported in
+ * runs once per file x model), and results are reported in
  * deterministic input order regardless of --jobs. Verdicts:
  *   ok      verifier result matches the @expect directive
  *   FAIL    verifier result contradicts the directive
@@ -69,7 +68,6 @@ struct CliOptions {
     std::string jsonPath;
     std::string tracePath;
     std::string metricsPath;
-    bool freshSessions = false;
     std::string server; // HOST:PORT or unix:PATH; empty = run locally
 };
 
@@ -125,10 +123,6 @@ usage()
            "                per worker; chrome://tracing, Perfetto)\n"
            "  --metrics=FILE  flat metrics JSON (counters + span "
            "aggregates)\n"
-           "  --fresh-sessions  rebuild the verification pipeline per "
-           "query instead\n"
-           "                of sharing one incremental session per "
-           "file x model\n"
            "  --server=HOST:PORT|unix:PATH  send every query to a "
            "running\n"
            "                gpumc-serve daemon instead of verifying "
@@ -184,8 +178,6 @@ parseArgs(int argc, char **argv)
             opts.engine = EngineKind::Dpor;
         } else if (arg == "--engine=explicit") {
             opts.engine = EngineKind::Explicit;
-        } else if (arg == "--fresh-sessions") {
-            opts.freshSessions = true;
         } else if (startsWith(arg, "--server=")) {
             opts.server = arg.substr(9);
             if (opts.server.empty())
@@ -317,7 +309,7 @@ metaOr(const prog::Program &p, const std::string &key,
 void
 collectQueries(const prog::Program &program, const cat::CatModel &model,
                const std::string &modelTag,
-               const core::VerifierOptions &options, bool shareSession,
+               const core::VerifierOptions &options,
                std::vector<Query> &queries,
                std::vector<core::BatchJob> &batch, FileReport &report)
 {
@@ -329,7 +321,6 @@ collectQueries(const prog::Program &program, const cat::CatModel &model,
         job.model = &model;
         job.property = property;
         job.options = options;
-        job.shareSession = shareSession;
         job.label = report.file + " [" + modelTag + "] " + kind;
         batch.push_back(std::move(job));
         report.numQueries++;
@@ -684,15 +675,14 @@ main(int argc, char **argv)
             }
             programs.push_back(std::move(program));
             const prog::Program &p = programs.back();
-            const bool share = !opts.freshSessions;
             if (p.arch == prog::Arch::Ptx) {
-                collectQueries(p, ptx60, "v60", options, share, queries,
-                               batch, report);
-                collectQueries(p, ptx75, "v75", options, share, queries,
-                               batch, report);
+                collectQueries(p, ptx60, "v60", options, queries, batch,
+                               report);
+                collectQueries(p, ptx75, "v75", options, queries, batch,
+                               report);
             } else {
-                collectQueries(p, vulkan, "vulkan", options, share,
-                               queries, batch, report);
+                collectQueries(p, vulkan, "vulkan", options, queries,
+                               batch, report);
             }
         } catch (const FatalError &error) {
             report.error = error.what();

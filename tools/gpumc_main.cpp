@@ -57,8 +57,8 @@ usage()
         "  --all-properties   check all three properties on one shared\n"
         "                     incremental session\n"
         "  --bound=N          loop unroll bound (default: 2)\n"
-        "  --timeout=MS       solver budget per property check (0 = "
-        "unlimited)\n"
+        "  --timeout=MS       solver or exploration budget per check\n"
+        "                     (0 = unlimited)\n"
         "  --backend=z3|builtin  SMT backend (default: builtin)\n"
         "  --cube-depth=N     split builtin-solver queries into 2^N\n"
         "                     cubes solved in parallel (default: 0, "
@@ -151,10 +151,16 @@ parseArgs(int argc, char **argv)
         } else if (key == "witness") {
             opts.printWitness = true;
         } else if (key == "dot") {
+            if (value.empty())
+                usage();
             opts.dotPath = value;
         } else if (key == "trace") {
+            if (value.empty())
+                usage();
             opts.tracePath = value;
         } else if (key == "metrics") {
+            if (value.empty())
+                usage();
             opts.metricsPath = value;
         } else if (key == "engine") {
             if (value == "smt") {
@@ -180,12 +186,22 @@ parseArgs(int argc, char **argv)
 }
 
 int
-runExplicit(const prog::Program &program, const cat::CatModel &model)
+runExplicit(const prog::Program &program, const cat::CatModel &model,
+            const CliOptions &opts)
 {
-    expl::ExplicitChecker checker(program, model);
+    expl::ExplicitOptions options;
+    options.timeoutMs =
+        static_cast<double>(opts.verifier.solverTimeoutMs);
+    expl::ExplicitChecker checker(program, model, options);
     expl::ExplicitResult result = checker.run();
     if (!result.supported) {
         std::cout << "UNSUPPORTED: " << result.unsupportedReason << "\n";
+        return 3;
+    }
+    if (result.timedOut) {
+        std::cout << "result: UNKNOWN (exploration budget exhausted "
+                  << "after " << result.candidatesExplored
+                  << " candidates)\n";
         return 3;
     }
     std::cout << "explicit checker: "
@@ -252,7 +268,7 @@ runTool(const CliOptions &opts)
               << "model: " << model.name() << "\n";
 
     if (opts.engine == Engine::Explicit)
-        return runExplicit(program, model);
+        return runExplicit(program, model, opts);
     if (opts.engine == Engine::Dpor)
         return runDpor(program, model, opts);
 
@@ -352,6 +368,12 @@ runTool(const CliOptions &opts)
         if (!opts.dotPath.empty()) {
             std::ofstream dot(opts.dotPath);
             dot << result.witness->toDot(program.name);
+            dot.close();
+            if (!dot) {
+                std::cerr << "gpumc: cannot write '" << opts.dotPath
+                          << "'\n";
+                return 2;
+            }
             std::cout << "witness graph written to " << opts.dotPath
                       << "\n";
         }

@@ -120,8 +120,12 @@ parseArgs(int argc, char **argv)
                 usage();
             opts.engine.cacheFile = value;
         } else if (key == "trace") {
+            if (value.empty())
+                usage();
             opts.tracePath = value;
         } else if (key == "metrics") {
+            if (value.empty())
+                usage();
             opts.metricsPath = value;
         } else {
             usage();
