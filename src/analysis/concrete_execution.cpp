@@ -40,6 +40,38 @@ condUsesMemory(const prog::Cond &cond)
     return false;
 }
 
+std::string
+enumerationUnsupportedReason(const prog::Program &program)
+{
+    if (!program.isStraightLine())
+        return "control-flow instructions";
+    for (const prog::Thread &t : program.threads) {
+        for (const prog::Instruction &ins : t.instrs) {
+            if (ins.op == Opcode::Rmw && ins.rmwKind == RmwKind::Cas)
+                return "compare-and-swap";
+        }
+    }
+    if (program.assertion && condUsesMemory(*program.assertion) &&
+        program.arch == prog::Arch::Ptx)
+        return "memory-valued condition under partial coherence";
+    return "";
+}
+
+bool
+quantifiedConditionHolds(prog::AssertKind kind, bool trueSomewhere,
+                         bool falseSomewhere)
+{
+    switch (kind) {
+      case prog::AssertKind::Exists:
+        return trueSomewhere;
+      case prog::AssertKind::NotExists:
+        return !trueSomewhere;
+      case prog::AssertKind::Forall:
+        return !falseSomewhere;
+    }
+    return false;
+}
+
 bool
 ValueSimulation::simulate(const std::vector<int> &reads,
                           const std::vector<int> &rfChoice)

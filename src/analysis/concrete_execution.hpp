@@ -64,6 +64,46 @@ class ConcreteView : public cat::ExecutionView {
 bool condUsesMemory(const prog::Cond &cond);
 
 /**
+ * What one exploration of an enumerative engine reports. It answers
+ * safety and DRF at once.
+ */
+struct EnumerationResult {
+    /** False when the test uses features the engines cannot handle
+     *  (see enumerationUnsupportedReason). */
+    bool supported = true;
+    std::string unsupportedReason;
+
+    /** The candidate cap or the wall-clock budget ran out. */
+    bool timedOut = false;
+
+    /** Same semantics as Verifier safety: the quantified litmus
+     *  statement evaluated over all consistent behaviours. */
+    bool conditionHolds = false;
+
+    /** A consistent behaviour with a flagged (racy) pair exists. */
+    bool raceFound = false;
+
+    /** Complete executions evaluated. */
+    uint64_t candidatesExplored = 0;
+    uint64_t consistentBehaviours = 0;
+    double timeMs = 0.0;
+};
+
+/**
+ * Why the enumerative engines cannot check @p program, or "" when they
+ * can. They handle straight-line programs without CAS, and under PTX
+ * partial coherence only conditions over registers.
+ */
+std::string enumerationUnsupportedReason(const prog::Program &program);
+
+/**
+ * The quantified condition over all consistent behaviours, given
+ * whether some behaviour satisfied and some falsified it.
+ */
+bool quantifiedConditionHolds(prog::AssertKind kind, bool trueSomewhere,
+                              bool falseSomewhere);
+
+/**
  * Value simulation of a straight-line unrolled program under one rf
  * assignment: fix-point register propagation, enumeration of
  * value-dependency cycles over the program's value universe, and

@@ -91,6 +91,7 @@ BatchVerifier::run(const std::vector<BatchJob> &batch,
                         shared = std::make_unique<Verifier>(
                             *job.program, *job.model, job.options);
                     }
+                    shared->setSolverTimeoutMs(job.options.solverTimeoutMs);
                     entry.result = shared->check(job.property);
                 } catch (const FatalError &error) {
                     fail(entry, jobTimer, error.what());

@@ -5,12 +5,14 @@
  * collects the results in input order.
  *
  * Jobs with equal session keys (program fingerprint, model content
- * fingerprint, bound, backend — see core/session_key.hpp) are grouped
- * onto one shared incremental Verifier session:
- * the unroll/analysis/encode pipeline runs once per group and each
- * job is an assumption-guarded query on the live solver (see
- * core::Verifier). Groups share no mutable state with each other, so
- * the fan-out across groups is embarrassingly parallel. Inputs
+ * fingerprint, engine, bound, backend — see core/session_key.hpp) are
+ * grouped onto one shared Verifier: under SMT the unroll/analysis/
+ * encode pipeline runs once per group and each job is an
+ * assumption-guarded query on the live solver, and under DPOR or the
+ * explicit baseline one exploration answers the group (see
+ * core::Verifier). Each job runs under its own budget
+ * (`options.solverTimeoutMs`). Groups share no mutable state with each
+ * other, so the fan-out across groups is embarrassingly parallel. Inputs
  * (programs and models) are only read; CatModel is immutable after
  * construction and safe to share across workers (verified: no mutable
  * members, and the only statics behind it — cat::Vocabulary::gpu()

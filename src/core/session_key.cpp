@@ -16,6 +16,7 @@ sessionKey(const prog::Program &program, const cat::CatModel &model,
             fp.lo,
             mfp.hi,
             mfp.lo,
+            static_cast<int>(options.engine),
             static_cast<int>(options.backend),
             normalizedBound,
             effectiveBits,
@@ -23,7 +24,7 @@ sessionKey(const prog::Program &program, const cat::CatModel &model,
             options.forceClosureSoundness,
             options.validateWitness,
             options.wantWitness,
-            options.solverTimeoutMs,
+            options.maxCandidates,
             options.cubeDepth,
             static_cast<int>(options.clauseShare)};
 }

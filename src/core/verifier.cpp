@@ -1,7 +1,11 @@
 #include "core/verifier.hpp"
 
+#include "analysis/concrete_execution.hpp"
+#include "dpor/dpor_checker.hpp"
 #include "encoder/relation_encoder.hpp"
+#include "explicit/explicit_checker.hpp"
 #include "program/unroller.hpp"
+#include "support/string_utils.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::core {
@@ -27,6 +31,83 @@ int64_t
 toUs(double ms)
 {
     return static_cast<int64_t>(ms * 1000.0 + 0.5);
+}
+
+/**
+ * Mirror a result's stats into the process-wide tracer so the metrics
+ * export aggregates the same registry the results carry. Size-like
+ * gauges keep their maximum; time and work counters accumulate.
+ */
+void
+publish(const StatsRegistry &stats)
+{
+    trace::Tracer &tracer = trace::Tracer::instance();
+    if (!tracer.enabled())
+        return;
+    for (const auto &[key, value] : stats.all()) {
+        if (key == "events" || key == "smtVars" || key == "smtClauses")
+            tracer.counterMax(key, value);
+        else
+            tracer.counterAdd(key, value);
+    }
+}
+
+/**
+ * Set holds and detail from whether the check @p found the behaviour
+ * it looks for: one that satisfies an exists condition or violates a
+ * ~exists or forall condition, a flagged one, or a stuck one.
+ */
+void
+judge(VerificationResult &result, prog::AssertKind assertKind, bool found)
+{
+    switch (result.property) {
+      case Property::Safety:
+        switch (assertKind) {
+          case prog::AssertKind::Exists:
+            result.holds = found;
+            result.detail = found ? "condition reachable"
+                                  : "condition unreachable";
+            break;
+          case prog::AssertKind::NotExists:
+            result.holds = !found;
+            result.detail = found ? "forbidden state reachable"
+                                  : "forbidden state unreachable";
+            break;
+          case prog::AssertKind::Forall:
+            result.holds = !found;
+            result.detail = found ? "counterexample found"
+                                  : "condition holds in all behaviours";
+            break;
+        }
+        break;
+      case Property::CatSpec:
+        result.holds = !found;
+        result.detail = found ? "flagged behaviour (e.g. data race) found"
+                              : "no flagged behaviour";
+        break;
+      case Property::Liveness:
+        result.holds = !found;
+        result.detail = found ? "liveness violation found"
+                              : "no liveness violation";
+        break;
+    }
+}
+
+/** One exploration by the enumerative engine @p options picks. */
+analysis::EnumerationResult
+explore(const prog::Program &program, const cat::CatModel &model,
+        const VerifierOptions &options)
+{
+    const double timeoutMs = static_cast<double>(options.solverTimeoutMs);
+    if (options.engine == Engine::Dpor) {
+        dpor::DporOptions budget;
+        budget.maxCandidates = options.maxCandidates;
+        budget.timeoutMs = timeoutMs;
+        return dpor::DporChecker(program, model, budget).run();
+    }
+    return expl::ExplicitChecker(program, model,
+                                 {options.maxCandidates, timeoutMs})
+        .run();
 }
 
 } // namespace
@@ -254,21 +335,7 @@ struct Verifier::Session {
             int64_t base = it == statsBase.end() ? 0 : it->second;
             result.stats.set(solverPrefix + key, value - base);
         }
-        // Mirror everything into the process-wide tracer so the
-        // metrics export aggregates the same registry the results
-        // carry. Size-like gauges keep their maximum; time and work
-        // counters accumulate.
-        trace::Tracer &tracer = trace::Tracer::instance();
-        if (tracer.enabled()) {
-            for (const auto &[key, value] : result.stats.all()) {
-                if (key == "events" || key == "smtVars" ||
-                    key == "smtClauses") {
-                    tracer.counterMax(key, value);
-                } else {
-                    tracer.counterAdd(key, value);
-                }
-            }
-        }
+        publish(result.stats);
     }
 };
 
@@ -309,6 +376,8 @@ Verifier::checkAll(const std::vector<Property> &properties)
 VerificationResult
 Verifier::run(Property property)
 {
+    if (options_.engine != Engine::Smt)
+        return runEnumerative(property);
     Stopwatch timer;
     VerificationResult result;
     result.property = property;
@@ -453,38 +522,7 @@ Verifier::run(Property property)
         return result;
     }
     bool sat = solveResult == smt::SolveResult::Sat;
-
-    switch (property) {
-      case Property::Safety:
-        switch (program_.assertKind) {
-          case prog::AssertKind::Exists:
-            result.holds = sat;
-            result.detail = sat ? "condition reachable"
-                                : "condition unreachable";
-            break;
-          case prog::AssertKind::NotExists:
-            result.holds = !sat;
-            result.detail = sat ? "forbidden state reachable"
-                                : "forbidden state unreachable";
-            break;
-          case prog::AssertKind::Forall:
-            result.holds = !sat;
-            result.detail = sat ? "counterexample found"
-                                : "condition holds in all behaviours";
-            break;
-        }
-        break;
-      case Property::CatSpec:
-        result.holds = !sat;
-        result.detail = sat ? "flagged behaviour (e.g. data race) found"
-                            : "no flagged behaviour";
-        break;
-      case Property::Liveness:
-        result.holds = !sat;
-        result.detail = sat ? "liveness violation found"
-                            : "no liveness violation";
-        break;
-    }
+    judge(result, program_.assertKind, sat);
 
     if (sat && options_.wantWitness) {
         trace::Span witnessSpan("witness");
@@ -523,6 +561,61 @@ Verifier::run(Property property)
     return result;
 }
 
+VerificationResult
+Verifier::runEnumerative(Property property)
+{
+    Stopwatch timer;
+    VerificationResult result;
+    result.property = property;
+    trace::Span checkSpan("check");
+    checkSpan.arg("property", propertyName(property));
+
+    if (property == Property::Liveness) {
+        result.unknown = true;
+        result.detail =
+            "liveness is not supported by the enumerative engines";
+    } else {
+        // One exploration answers Safety and CatSpec alike; one that
+        // ran out of budget is re-run under this check's own budget.
+        const bool explores = !explored_ || explored_->timedOut;
+        if (explores) {
+            explored_ = std::make_unique<analysis::EnumerationResult>(
+                explore(program_, model_, options_));
+        }
+        const analysis::EnumerationResult &r = *explored_;
+        result.stats.set("sessionsBuilt", explores ? 1 : 0);
+        result.stats.set("sessionsReused", explores ? 0 : 1);
+        result.stats.set(
+            "candidatesExplored",
+            explores ? static_cast<int64_t>(r.candidatesExplored) : 0);
+        if (!r.supported) {
+            result.unknown = true;
+            result.detail =
+                std::string(kUnsupportedDetail) + r.unsupportedReason;
+        } else if (r.timedOut) {
+            result.unknown = true;
+            result.detail = "exploration budget exhausted after " +
+                            std::to_string(r.candidatesExplored) +
+                            " candidates";
+        } else if (property == Property::Safety) {
+            bool exists = program_.assertKind == prog::AssertKind::Exists;
+            judge(result, program_.assertKind, r.conditionHolds == exists);
+        } else if (model_.hasFlaggedAxioms()) {
+            judge(result, program_.assertKind, r.raceFound);
+        } else {
+            result.holds = true;
+            result.detail = "model has no flagged axioms";
+        }
+    }
+
+    publish(result.stats);
+    result.timeMs = timer.elapsedMs();
+    checkSpan.arg("outcome", result.unknown  ? "unknown"
+                             : result.holds ? "holds"
+                                            : "violated");
+    return result;
+}
+
 bool
 Verifier::exportPipelineStats(StatsRegistry &stats) const
 {
@@ -538,6 +631,44 @@ Verifier::exportPipelineStats(StatsRegistry &stats) const
     stats.set("events", s.up.numEvents());
     stats.set("smtVars", s.backend->numVars());
     stats.set("smtClauses", s.backend->numClauses());
+    return true;
+}
+
+bool
+parseVerifierFlag(std::string_view tool, const std::string &key,
+                  const std::string &value, VerifierOptions &options,
+                  void (*usage)())
+{
+    const std::string flag = "--" + key;
+    if (key == "bound") {
+        options.bound = static_cast<int>(cliInt(tool, flag, value, 0, 64));
+    } else if (key == "timeout") {
+        options.solverTimeoutMs = cliInt(tool, flag, value, 0, INT64_MAX);
+    } else if (key == "cube-depth") {
+        options.cubeDepth =
+            static_cast<int>(cliInt(tool, flag, value, 0, 16));
+    } else if (key == "backend") {
+        if (value == "builtin")
+            options.backend = smt::BackendKind::Builtin;
+        else if (value == "z3")
+            options.backend = smt::BackendKind::Z3;
+        else
+            usage();
+    } else if (key == "engine") {
+        if (value == "smt")
+            options.engine = Engine::Smt;
+        else if (value == "dpor")
+            options.engine = Engine::Dpor;
+        else if (value == "explicit")
+            options.engine = Engine::Explicit;
+        else
+            usage();
+    } else if (key == "clause-share") {
+        if (!smt::parseClauseShareMode(value, options.clauseShare))
+            usage();
+    } else {
+        return false;
+    }
     return true;
 }
 

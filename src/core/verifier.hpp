@@ -12,6 +12,11 @@
  * on the same live solver, preserving learned clauses across
  * properties (the assumption-based incremental style of Dartagnan-like
  * BMC tools).
+ *
+ * `VerifierOptions::engine` picks the engine behind the same API. The
+ * enumerative engines (DPOR and the explicit baseline) explore a
+ * program once per Verifier and answer Safety and CatSpec from that
+ * one exploration.
  */
 
 #ifndef GPUMC_CORE_VERIFIER_HPP
@@ -20,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cat/model.hpp"
@@ -28,11 +34,29 @@
 #include "smt/backend.hpp"
 #include "support/stats.hpp"
 
+namespace gpumc::analysis {
+struct EnumerationResult;
+} // namespace gpumc::analysis
+
 namespace gpumc::core {
 
 enum class Property { Safety, Liveness, CatSpec };
 
+/**
+ * Smt: the bounded SMT encoding; it answers every property. Dpor
+ * (src/dpor) and Explicit (src/explicit, the Alloy stand-in) enumerate
+ * the executions of straight-line programs. They answer Safety and
+ * CatSpec and report Liveness, and programs outside their fragment,
+ * as unknown with a reason.
+ */
+enum class Engine { Smt, Dpor, Explicit };
+
+/** How an enumerative engine's unknown result on a program outside its
+ *  fragment begins its detail; the reason follows. */
+inline constexpr std::string_view kUnsupportedDetail = "unsupported: ";
+
 struct VerifierOptions {
+    Engine engine = Engine::Smt;
     /**
      * SMT backend. The built-in CDCL solver is the default: on gpumc's
      * Tseitin-CNF encodings it consistently outperforms Z3 by an order
@@ -54,10 +78,15 @@ struct VerifierOptions {
      * Wall-clock budget per property check, in milliseconds; 0 =
      * unlimited. The budget is a single shared deadline for the whole
      * check — every solver query issued by the check draws from the
-     * same remaining budget. When exhausted the result carries
+     * same remaining budget. Under the enumerative engines it bounds
+     * the check's exploration. When exhausted the result carries
      * unknown=true.
      */
     int64_t solverTimeoutMs = 0;
+    /** Enumerative engines: complete executions one exploration may
+     *  evaluate (0 = unlimited). When exhausted the result carries
+     *  unknown=true. */
+    uint64_t maxCandidates = 0;
     /** Extract an execution witness on SAT results. */
     bool wantWitness = true;
     /**
@@ -89,7 +118,8 @@ struct VerificationResult {
      */
     bool holds = false;
 
-    /** The solver hit its resource budget; `holds` is meaningless. */
+    /** No verdict: the check ran out of budget, or the engine cannot
+     *  answer it (see `detail`); `holds` is meaningless. */
     bool unknown = false;
 
     std::string detail;
@@ -126,10 +156,11 @@ class Verifier {
                  Property::Safety, Property::Liveness, Property::CatSpec});
 
     /**
-     * Adjust the per-check solver budget for subsequent checks (the
-     * live session, including its learned clauses, is kept). A timed-
-     * out check never poisons later checks: each check re-arms its own
-     * deadline from this option.
+     * Adjust the per-check budget for subsequent checks (the live
+     * session, including its learned clauses, is kept). A timed-out
+     * check never poisons later checks: each check re-arms its own
+     * deadline from this option, and an enumerative exploration that
+     * ran out of budget is re-run by the next check.
      */
     void setSolverTimeoutMs(int64_t ms) { options_.solverTimeoutMs = ms; }
 
@@ -154,12 +185,27 @@ class Verifier {
      */
     struct Session;
     VerificationResult run(Property property);
+    /** run() for the enumerative engines. */
+    VerificationResult runEnumerative(Property property);
 
     const prog::Program &program_;
     const cat::CatModel &model_;
     VerifierOptions options_;
     std::unique_ptr<Session> session_;
+    /** The enumerative engines' last exploration. */
+    std::unique_ptr<analysis::EnumerationResult> explored_;
 };
+
+/**
+ * Parse one of the verifier flags the command-line tools share:
+ * --bound, --timeout, --backend, --engine, --cube-depth and
+ * --clause-share. @p key is the flag name without the dashes. Returns
+ * false when @p key is none of them. A bad integer is reported by
+ * cliInt (exit status 2); any other bad value calls @p usage.
+ */
+bool parseVerifierFlag(std::string_view tool, const std::string &key,
+                       const std::string &value, VerifierOptions &options,
+                       void (*usage)());
 
 } // namespace gpumc::core
 

@@ -17,8 +17,6 @@ namespace gpumc::dpor {
 using cat::PairSet;
 using prog::Event;
 using prog::EventKind;
-using prog::Opcode;
-using prog::RmwKind;
 
 namespace {
 
@@ -103,36 +101,6 @@ struct DporChecker::Impl {
             return true;
         }
         return deadlineExpired();
-    }
-
-    // ---- support checks -------------------------------------------------
-
-    bool checkSupported()
-    {
-        if (!program.isStraightLine()) {
-            result.supported = false;
-            result.unsupportedReason = "control-flow instructions";
-            return false;
-        }
-        for (const prog::Thread &t : program.threads) {
-            for (const prog::Instruction &ins : t.instrs) {
-                if (ins.op == Opcode::Rmw &&
-                    ins.rmwKind == RmwKind::Cas) {
-                    result.supported = false;
-                    result.unsupportedReason = "compare-and-swap";
-                    return false;
-                }
-            }
-        }
-        if (program.assertion &&
-            analysis::condUsesMemory(*program.assertion) &&
-            program.arch == prog::Arch::Ptx) {
-            result.supported = false;
-            result.unsupportedReason =
-                "memory-valued condition under partial coherence";
-            return false;
-        }
-        return true;
     }
 
     // ---- verdict bookkeeping --------------------------------------------
@@ -527,8 +495,12 @@ struct DporChecker::Impl {
 
     DporResult run()
     {
-        if (!checkSupported())
+        result.unsupportedReason =
+            analysis::enumerationUnsupportedReason(program);
+        if (!result.unsupportedReason.empty()) {
+            result.supported = false;
             return result;
+        }
 
         flagged = model.hasFlaggedAxioms();
         condRfDetermined =
@@ -570,17 +542,8 @@ struct DporChecker::Impl {
 
         exploreRf(0);
 
-        switch (program.assertKind) {
-          case prog::AssertKind::Exists:
-            result.conditionHolds = condTrueSomewhere;
-            break;
-          case prog::AssertKind::NotExists:
-            result.conditionHolds = !condTrueSomewhere;
-            break;
-          case prog::AssertKind::Forall:
-            result.conditionHolds = !condFalseSomewhere;
-            break;
-        }
+        result.conditionHolds = analysis::quantifiedConditionHolds(
+            program.assertKind, condTrueSomewhere, condFalseSomewhere);
         result.timeMs = watch.elapsedMs();
         publishCounters();
         return result;

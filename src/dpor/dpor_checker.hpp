@@ -26,17 +26,17 @@
  * once enough behaviours have been seen to settle the quantified
  * condition and the race flags the exploration stops early.
  *
- * Support envelope matches `src/explicit` (straight-line, no CAS, no
- * memory-valued conditions under PTX partial coherence); verdicts have
- * the same shape and semantics as ExplicitResult.
+ * Support envelope and verdicts are those of `src/explicit`: both
+ * engines share analysis::enumerationUnsupportedReason and
+ * analysis::EnumerationResult.
  */
 
 #ifndef GPUMC_DPOR_DPOR_CHECKER_HPP
 #define GPUMC_DPOR_DPOR_CHECKER_HPP
 
 #include <cstdint>
-#include <string>
 
+#include "analysis/concrete_execution.hpp"
 #include "cat/model.hpp"
 #include "program/program.hpp"
 #include "support/stats.hpp"
@@ -54,29 +54,12 @@ struct DporOptions {
     Deadline deadline;
 };
 
-struct DporResult {
-    /** False when the test uses features the engine cannot handle
-     *  (control flow, CAS, memory-valued conditions under partial co). */
-    bool supported = true;
-    std::string unsupportedReason;
-
-    bool timedOut = false;
-
-    /** Same semantics as Verifier safety / ExplicitResult. */
-    bool conditionHolds = false;
-
-    /** A consistent behaviour with a flagged (racy) pair exists. */
-    bool raceFound = false;
-
-    /** Complete execution graphs evaluated (leaves reached). Strictly
-     *  fewer than the explicit baseline whenever pruning or early
-     *  stopping fires. */
-    uint64_t candidatesExplored = 0;
-    /** Consistent behaviours *seen* — a lower bound, not a census:
-     *  subtrees are cut as soon as the verdict is determined. */
-    uint64_t consistentBehaviours = 0;
-    double timeMs = 0.0;
-
+/** The explicit baseline's verdict (analysis::EnumerationResult), with
+ *  the exploration counters on top. candidatesExplored is strictly
+ *  below the explicit baseline's whenever pruning or early stopping
+ *  fires, and consistentBehaviours counts the behaviours *seen*, a
+ *  lower bound: subtrees are cut as soon as the verdict is settled. */
+struct DporResult : analysis::EnumerationResult {
     // --- exploration counters (also exported as dpor.* trace
     // counters) -----------------------------------------------------
     uint64_t rfBranches = 0;        ///< rf source choices tried

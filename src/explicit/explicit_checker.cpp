@@ -16,8 +16,6 @@ namespace gpumc::expl {
 using cat::PairSet;
 using prog::Event;
 using prog::EventKind;
-using prog::Opcode;
-using prog::RmwKind;
 
 struct ExplicitChecker::Impl {
     const prog::Program &program;
@@ -57,28 +55,6 @@ struct ExplicitChecker::Impl {
             return true;
         }
         return false;
-    }
-
-    // ---- support checks -------------------------------------------------
-
-    bool checkSupported()
-    {
-        if (!program.isStraightLine()) {
-            result.supported = false;
-            result.unsupportedReason = "control-flow instructions";
-            return false;
-        }
-        for (const prog::Thread &t : program.threads) {
-            for (const prog::Instruction &ins : t.instrs) {
-                if (ins.op == Opcode::Rmw &&
-                    ins.rmwKind == RmwKind::Cas) {
-                    result.supported = false;
-                    result.unsupportedReason = "compare-and-swap";
-                    return false;
-                }
-            }
-        }
-        return true;
     }
 
     // ---- coherence enumeration -------------------------------------------
@@ -294,14 +270,10 @@ struct ExplicitChecker::Impl {
 
     ExplicitResult run()
     {
-        if (!checkSupported())
-            return result;
-        if (program.assertion &&
-            analysis::condUsesMemory(*program.assertion) &&
-            program.arch == prog::Arch::Ptx) {
+        result.unsupportedReason =
+            analysis::enumerationUnsupportedReason(program);
+        if (!result.unsupportedReason.empty()) {
             result.supported = false;
-            result.unsupportedReason =
-                "memory-valued condition under partial coherence";
             return result;
         }
 
@@ -321,17 +293,8 @@ struct ExplicitChecker::Impl {
 
         enumerateRf(0);
 
-        switch (program.assertKind) {
-          case prog::AssertKind::Exists:
-            result.conditionHolds = condTrueSomewhere;
-            break;
-          case prog::AssertKind::NotExists:
-            result.conditionHolds = !condTrueSomewhere;
-            break;
-          case prog::AssertKind::Forall:
-            result.conditionHolds = !condFalseSomewhere;
-            break;
-        }
+        result.conditionHolds = analysis::quantifiedConditionHolds(
+            program.assertKind, condTrueSomewhere, condFalseSomewhere);
         result.timeMs = watch.elapsedMs();
         return result;
     }

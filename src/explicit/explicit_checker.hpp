@@ -18,9 +18,8 @@
 #define GPUMC_EXPLICIT_EXPLICIT_CHECKER_HPP
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
+#include "analysis/concrete_execution.hpp"
 #include "cat/model.hpp"
 #include "program/program.hpp"
 
@@ -34,25 +33,8 @@ struct ExplicitOptions {
     double timeoutMs = 0.0;
 };
 
-struct ExplicitResult {
-    /** False when the test uses features the checker cannot handle
-     *  (control flow, CAS, memory-valued conditions under partial co). */
-    bool supported = true;
-    std::string unsupportedReason;
-
-    bool timedOut = false;
-
-    /** Same semantics as Verifier safety: the quantified litmus
-     *  statement evaluated over all consistent behaviours. */
-    bool conditionHolds = false;
-
-    /** A consistent behaviour with a flagged (racy) pair exists. */
-    bool raceFound = false;
-
-    uint64_t candidatesExplored = 0;
-    uint64_t consistentBehaviours = 0;
-    double timeMs = 0.0;
-};
+/** The verdict shape DPOR shares (see analysis::EnumerationResult). */
+using ExplicitResult = analysis::EnumerationResult;
 
 class ExplicitChecker {
   public:

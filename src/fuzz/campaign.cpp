@@ -34,26 +34,6 @@ caseTag(size_t index)
     return buf;
 }
 
-/** Batch-job indices of the engine runs belonging to one case. */
-struct CaseSlots {
-    int builtin = -1;
-    int z3 = -1;
-    int next = -1;
-    int drf = -1;
-    int roundTrip = -1;
-};
-
-EngineRun
-fromEntry(const std::vector<core::BatchEntry> &entries, int index)
-{
-    if (index < 0)
-        return {};
-    const core::BatchEntry &entry = entries[static_cast<size_t>(index)];
-    if (entry.failed)
-        return EngineRun::failure(entry.error);
-    return EngineRun::of(entry.result);
-}
-
 /** Reproduce-by-hand command for a repro file header. */
 std::string
 reproCommand(const std::string &file, const std::string &model,
@@ -72,7 +52,6 @@ runCampaign(const CampaignOptions &options)
     const cat::CatModel &model = *options.model;
     const OracleOptions &oracle = options.oracle;
     const int runs = std::max(0, options.runs);
-    const bool flagged = model.hasFlaggedAxioms();
 
     CampaignResult result;
     std::string &log = result.log;
@@ -117,82 +96,21 @@ runCampaign(const CampaignOptions &options)
         }
     }
 
-    // Phase 3: every SMT-side query of every case as one flat batch
+    // Phase 3: every engine run of every case as one flat batch
     // through BatchVerifier — this is the campaign fan-out.
-    std::vector<CaseSlots> slots(static_cast<size_t>(runs));
+    std::vector<OracleSlots> slots(static_cast<size_t>(runs));
     std::vector<core::BatchJob> batch;
-    auto push = [&](const prog::Program &target, core::Property property,
-                    smt::BackendKind backend, int bound,
-                    const std::string &label) {
-        core::BatchJob job;
-        job.program = &target;
-        job.model = &model;
-        job.property = property;
-        job.options.backend = backend;
-        job.options.bound = bound;
-        job.options.validateWitness = true;
-        job.options.solverTimeoutMs = oracle.solverTimeoutMs;
-        job.label = label;
-        batch.push_back(std::move(job));
-        return static_cast<int>(batch.size()) - 1;
-    };
-    const bool needBuiltin = oracle.roundTrip || oracle.smtVsExplicit ||
-                             oracle.z3VsBuiltin || oracle.boundMono;
     for (int i = 0; i < runs; ++i) {
         const size_t n = static_cast<size_t>(i);
-        const std::string tag = "case " + caseTag(n);
-        if (needBuiltin) {
-            slots[n].builtin =
-                push(programs[n], core::Property::Safety,
-                     smt::BackendKind::Builtin, oracle.bound,
-                     tag + " builtin");
-        }
-        if (oracle.z3VsBuiltin) {
-            slots[n].z3 = push(programs[n], core::Property::Safety,
-                               smt::BackendKind::Z3,
-                               oracle.effectiveZ3Bound(), tag + " z3");
-        }
-        if (oracle.boundMono) {
-            slots[n].next =
-                push(programs[n], core::Property::Safety,
-                     smt::BackendKind::Builtin, oracle.bound + 1,
-                     tag + " builtin@k+1");
-        }
-        if (oracle.smtVsExplicit && flagged) {
-            slots[n].drf = push(programs[n], core::Property::CatSpec,
-                                smt::BackendKind::Builtin, oracle.bound,
-                                tag + " drf");
-        }
-        if (oracle.roundTrip && reparseOk[n]) {
-            slots[n].roundTrip =
-                push(reparsed[n], core::Property::Safety,
-                     smt::BackendKind::Builtin, oracle.bound,
-                     tag + " reparsed");
-        }
+        slots[n] = addOracleJobs(programs[n],
+                                 reparseOk[n] ? &reparsed[n] : nullptr,
+                                 model, oracle, "case " + caseTag(n),
+                                 batch);
     }
     core::BatchVerifier engine(options.jobs);
     const std::vector<core::BatchEntry> entries = engine.run(batch);
 
-    // Phase 4: explicit-state enumeration, one slot per case.
-    std::vector<expl::ExplicitResult> explicitResults(
-        static_cast<size_t>(runs));
-    std::vector<std::string> explicitErrors(static_cast<size_t>(runs));
-    if (oracle.smtVsExplicit) {
-        expl::ExplicitOptions eo;
-        eo.maxCandidates = oracle.explicitMaxCandidates;
-        eo.timeoutMs = oracle.explicitTimeoutMs;
-        parallelFor(runs, options.jobs, [&](int64_t i) {
-            const size_t n = static_cast<size_t>(i);
-            try {
-                expl::ExplicitChecker checker(programs[n], model, eo);
-                explicitResults[n] = checker.run();
-            } catch (const std::exception &error) {
-                explicitErrors[n] = error.what();
-            }
-        });
-    }
-
-    // Phase 4b: the session-reuse differential, self-contained per
+    // Phase 4: the session-reuse differential, self-contained per
     // case (shared checkAll() vs fresh sessions on both backends), so
     // it fans out directly instead of going through the batch.
     std::vector<OracleOutcome> reuseOutcomes(static_cast<size_t>(runs));
@@ -204,7 +122,7 @@ runCampaign(const CampaignOptions &options)
         });
     }
 
-    // Phase 4c: the clause-sharing differential, likewise
+    // Phase 5: the clause-sharing differential, likewise
     // self-contained per case (cube-sharing checkAll() vs the
     // sharing-off baseline on the builtin backend); the cube workers
     // draw on the same thread budget as these workers, so --jobs stays
@@ -220,49 +138,18 @@ runCampaign(const CampaignOptions &options)
         });
     }
 
-    // Phase 4d: the DPOR differential, likewise self-contained per
-    // case (a full stateless-model-checking exploration vs the builtin
-    // SMT verdicts); unsupported programs and exhausted budgets show
-    // up as skips in the log rather than vanishing.
-    std::vector<OracleOutcome> dporOutcomes(static_cast<size_t>(runs));
-    if (oracle.dpor) {
-        parallelFor(runs, options.jobs, [&](int64_t i) {
-            const size_t n = static_cast<size_t>(i);
-            dporOutcomes[n] = dporOracle(programs[n], model, oracle);
-        });
-    }
-
-    // Phase 5: compare, sequentially in input order.
+    // Phase 6: compare, sequentially in input order.
     std::vector<size_t> disagreeing;
     for (int i = 0; i < runs; ++i) {
         const size_t n = static_cast<size_t>(i);
-        OracleInputs inputs;
-        inputs.program = &programs[n];
-        inputs.modelFlagged = flagged;
-        inputs.builtinSafety = fromEntry(entries, slots[n].builtin);
-        inputs.z3Safety = fromEntry(entries, slots[n].z3);
-        inputs.builtinNext = fromEntry(entries, slots[n].next);
-        inputs.builtinDrf = fromEntry(entries, slots[n].drf);
-        inputs.roundTripSafety = fromEntry(entries, slots[n].roundTrip);
-        inputs.roundTripError = reparseErrors[n];
-        if (oracle.smtVsExplicit) {
-            inputs.explicitRan = true;
-            if (!explicitErrors[n].empty()) {
-                inputs.explicitResult.supported = false;
-                inputs.explicitResult.unsupportedReason =
-                    "explicit error: " + explicitErrors[n];
-            } else {
-                inputs.explicitResult = explicitResults[n];
-            }
-        }
-
-        OracleReport report = compareOracles(inputs, oracle);
+        OracleReport report = compareOracles(
+            oracleInputs(programs[n], model, slots[n], entries,
+                         reparseErrors[n]),
+            oracle);
         if (oracle.sessionReuse)
             report.outcomes.push_back(reuseOutcomes[n]);
         if (oracle.clauseSharing)
             report.outcomes.push_back(sharingOutcomes[n]);
-        if (oracle.dpor)
-            report.outcomes.push_back(dporOutcomes[n]);
         for (const OracleOutcome &o : report.outcomes) {
             result.oracleChecks++;
             switch (o.verdict) {
@@ -295,7 +182,7 @@ runCampaign(const CampaignOptions &options)
            " disagree=" + std::to_string(result.disagreements) +
            " errors=" + std::to_string(result.errors) + "\n";
 
-    // Phase 6: shrink the first few disagreeing cases and write repros.
+    // Phase 7: shrink the first few disagreeing cases and write repros.
     if (options.shrink) {
         int budget = options.maxShrinks;
         for (size_t n : disagreeing) {
@@ -362,13 +249,16 @@ runCampaign(const CampaignOptions &options)
                         reproCommand(fileName, options.modelName,
                                      "builtin", oracle.bound + 1) +
                         "\n";
-            } else if (kind == OracleKind::Dpor) {
+            } else if (kind == OracleKind::Dpor ||
+                       kind == OracleKind::SmtVsExplicit) {
                 text += "// reproduce: " +
                         reproCommand(fileName, options.modelName,
                                      "builtin", oracle.bound) +
                         "\n";
                 text += "//       vs: gpumc " + fileName + " " +
-                        options.modelName + ".cat --engine=dpor\n";
+                        options.modelName + ".cat --engine=" +
+                        (kind == OracleKind::Dpor ? "dpor" : "explicit") +
+                        "\n";
             } else if (kind == OracleKind::ClauseSharing) {
                 text += "// reproduce: " +
                         reproCommand(fileName, options.modelName,

@@ -1,10 +1,10 @@
 /**
  * @file
  * Fuzz campaign driver: generates a deterministic stream of random
- * programs, fans every SMT-side oracle query out across worker threads
- * through core::BatchVerifier (the explicit-state oracle runs under
- * parallelFor), cross-checks the verdicts, and auto-shrinks any
- * disagreeing case into a minimal `.litmus` repro file.
+ * programs, fans every engine run the comparing oracles need (SMT,
+ * DPOR and explicit) out across worker threads through one
+ * core::BatchVerifier run, cross-checks the verdicts, and auto-shrinks
+ * any disagreeing case into a minimal `.litmus` repro file.
  *
  * Determinism: for a fixed seed the verdict log is byte-identical for
  * any worker count — programs are generated sequentially from per-case

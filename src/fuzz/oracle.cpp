@@ -1,9 +1,9 @@
 #include "fuzz/oracle.hpp"
 
-#include "dpor/dpor_checker.hpp"
 #include "litmus/litmus_emitter.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "support/diagnostics.hpp"
+#include "support/string_utils.hpp"
 
 namespace gpumc::fuzz {
 
@@ -118,6 +118,71 @@ screen(const EngineRun &run, const char *who, OracleOutcome &outcome)
         return false;
     }
     return true;
+}
+
+/**
+ * screen() for an enumerative engine's run. A program outside the
+ * engine's fragment skips with the engine's bare reason: this is the
+ * silent-skip hazard, so it must show up, never count as agreement.
+ * An exhausted budget skips with a message free of timing-dependent
+ * counts, so campaign logs stay deterministic.
+ */
+bool
+screenEnumerative(const EngineRun &run, const char *who,
+                  OracleOutcome &outcome)
+{
+    if (!run.ran || run.failed || !run.result.unknown)
+        return screen(run, who, outcome);
+    const std::string &detail = run.result.detail;
+    outcome.verdict = OracleVerdict::Skipped;
+    outcome.detail = startsWith(detail, core::kUnsupportedDetail)
+                         ? detail.substr(core::kUnsupportedDetail.size())
+                         : std::string(who) + " exploration budget exhausted";
+    return false;
+}
+
+/**
+ * An enumerative engine's safety verdict, and for flagged models its
+ * race verdict, against the builtin backend's.
+ */
+OracleOutcome
+compareEnumerative(OracleKind kind, const char *who, const EngineRun &safety,
+                   const EngineRun &drf, const OracleInputs &inputs)
+{
+    OracleOutcome o;
+    o.kind = kind;
+    if (!screenEnumerative(safety, who, o) ||
+        !screen(inputs.builtinSafety, "builtin", o))
+        return o;
+    if (safety.result.holds != inputs.builtinSafety.result.holds) {
+        o.verdict = OracleVerdict::Disagree;
+        o.detail = std::string(who) + "=" +
+                   (safety.result.holds ? "holds" : "fails") + " smt=" +
+                   (inputs.builtinSafety.result.holds ? "holds" : "fails");
+        return o;
+    }
+    if (inputs.modelFlagged && screenEnumerative(drf, who, o) &&
+        screen(inputs.builtinDrf, "drf", o)) {
+        bool race = !drf.result.holds;
+        bool smtRace = !inputs.builtinDrf.result.holds;
+        if (race != smtRace) {
+            o.verdict = OracleVerdict::Disagree;
+            o.detail = std::string(who) + " race=" + (race ? "yes" : "no") +
+                       " smt race=" + (smtRace ? "yes" : "no");
+        }
+    }
+    return o;
+}
+
+EngineRun
+fromEntry(const std::vector<core::BatchEntry> &entries, int index)
+{
+    if (index < 0)
+        return {};
+    const core::BatchEntry &entry = entries[static_cast<size_t>(index)];
+    if (entry.failed)
+        return EngineRun::failure(entry.error);
+    return EngineRun::of(entry.result);
 }
 
 } // namespace
@@ -259,83 +324,93 @@ clauseSharingOracle(const prog::Program &program,
     return o;
 }
 
-/**
- * DPOR-vs-SMT differential: the stateless model-checking engine's
- * condition and race verdicts must match the builtin backend's safety
- * and CatSpec verdicts. The engine shares the explicit baseline's
- * support envelope, so unsupported programs (and exhausted exploration
- * budgets) are reported as skips, never silently as agreement.
- */
-OracleOutcome
-dporOracle(const prog::Program &program, const cat::CatModel &model,
-           const OracleOptions &options)
+OracleSlots
+addOracleJobs(const prog::Program &program, const prog::Program *reparsed,
+              const cat::CatModel &model, const OracleOptions &options,
+              const std::string &tag, std::vector<core::BatchJob> &batch)
 {
-    OracleOutcome o;
-    o.kind = OracleKind::Dpor;
-
-    dpor::DporResult explored;
-    try {
-        dpor::DporOptions dopts;
-        dopts.maxCandidates = options.dporMaxCandidates;
-        dopts.timeoutMs = options.dporTimeoutMs;
-        dpor::DporChecker checker(program, model, dopts);
-        explored = checker.run();
-    } catch (const std::exception &error) {
-        o.verdict = OracleVerdict::Skipped;
-        o.detail = std::string("dpor error: ") + error.what();
-        return o;
-    }
-    if (!explored.supported) {
-        o.verdict = OracleVerdict::Skipped;
-        o.detail = explored.unsupportedReason;
-        return o;
-    }
-    if (explored.timedOut) {
-        o.verdict = OracleVerdict::Skipped;
-        o.detail = "dpor exploration budget exhausted";
-        return o;
-    }
-
-    auto verify = [&](core::Property property) -> EngineRun {
-        core::VerifierOptions vo;
-        vo.backend = smt::BackendKind::Builtin;
-        vo.bound = options.bound;
+    auto push = [&](const prog::Program &target, core::Property property,
+                    core::VerifierOptions vo, const char *name) {
         vo.validateWitness = true;
-        vo.solverTimeoutMs = options.solverTimeoutMs;
-        try {
-            core::Verifier verifier(program, model, vo);
-            return EngineRun::of(verifier.check(property));
-        } catch (const FatalError &error) {
-            return EngineRun::failure(error.what());
-        } catch (const std::exception &error) {
-            return EngineRun::failure(error.what());
-        }
+        core::BatchJob job;
+        job.program = &target;
+        job.model = &model;
+        job.property = property;
+        job.options = vo;
+        job.label = tag + " " + name;
+        batch.push_back(std::move(job));
+        return static_cast<int>(batch.size()) - 1;
     };
+    core::VerifierOptions smt;
+    smt.bound = options.bound;
+    smt.solverTimeoutMs = options.solverTimeoutMs;
+    core::VerifierOptions z3 = smt;
+    z3.backend = smt::BackendKind::Z3;
+    z3.bound = options.effectiveZ3Bound();
+    core::VerifierOptions next = smt;
+    next.bound = options.bound + 1;
+    core::VerifierOptions enumerative;
+    enumerative.maxCandidates = options.enumerativeMaxCandidates;
+    enumerative.solverTimeoutMs = options.enumerativeTimeoutMs;
 
-    EngineRun safety = verify(core::Property::Safety);
-    if (!screen(safety, "builtin", o))
-        return o;
-    if (explored.conditionHolds != safety.result.holds) {
-        o.verdict = OracleVerdict::Disagree;
-        o.detail = std::string("dpor=") +
-                   (explored.conditionHolds ? "holds" : "fails") +
-                   " smt=" +
-                   (safety.result.holds ? "holds" : "fails");
-        return o;
+    const bool flagged = model.hasFlaggedAxioms();
+    OracleSlots slots;
+    if (options.roundTrip || options.smtVsExplicit || options.z3VsBuiltin ||
+        options.boundMono || options.dpor)
+        slots.builtin = push(program, core::Property::Safety, smt, "builtin");
+    if (options.z3VsBuiltin)
+        slots.z3 = push(program, core::Property::Safety, z3, "z3");
+    if (options.boundMono) {
+        slots.next =
+            push(program, core::Property::Safety, next, "builtin@k+1");
     }
-    if (model.hasFlaggedAxioms()) {
-        EngineRun drf = verify(core::Property::CatSpec);
-        if (!screen(drf, "drf", o))
-            return o;
-        bool smtRace = !drf.result.holds;
-        if (explored.raceFound != smtRace) {
-            o.verdict = OracleVerdict::Disagree;
-            o.detail = std::string("dpor race=") +
-                       (explored.raceFound ? "yes" : "no") +
-                       " smt race=" + (smtRace ? "yes" : "no");
+    if ((options.smtVsExplicit || options.dpor) && flagged)
+        slots.drf = push(program, core::Property::CatSpec, smt, "drf");
+    if (options.roundTrip && reparsed) {
+        slots.roundTrip =
+            push(*reparsed, core::Property::Safety, smt, "reparsed");
+    }
+    if (options.smtVsExplicit) {
+        enumerative.engine = core::Engine::Explicit;
+        slots.explicitSafety = push(program, core::Property::Safety,
+                                    enumerative, "explicit");
+        if (flagged) {
+            slots.explicitDrf = push(program, core::Property::CatSpec,
+                                     enumerative, "explicit drf");
         }
     }
-    return o;
+    if (options.dpor) {
+        enumerative.engine = core::Engine::Dpor;
+        slots.dporSafety =
+            push(program, core::Property::Safety, enumerative, "dpor");
+        if (flagged) {
+            slots.dporDrf = push(program, core::Property::CatSpec,
+                                 enumerative, "dpor drf");
+        }
+    }
+    return slots;
+}
+
+OracleInputs
+oracleInputs(const prog::Program &program, const cat::CatModel &model,
+             const OracleSlots &slots,
+             const std::vector<core::BatchEntry> &entries,
+             std::string roundTripError)
+{
+    OracleInputs inputs;
+    inputs.program = &program;
+    inputs.modelFlagged = model.hasFlaggedAxioms();
+    inputs.builtinSafety = fromEntry(entries, slots.builtin);
+    inputs.z3Safety = fromEntry(entries, slots.z3);
+    inputs.builtinNext = fromEntry(entries, slots.next);
+    inputs.builtinDrf = fromEntry(entries, slots.drf);
+    inputs.roundTripSafety = fromEntry(entries, slots.roundTrip);
+    inputs.roundTripError = std::move(roundTripError);
+    inputs.explicitSafety = fromEntry(entries, slots.explicitSafety);
+    inputs.explicitDrf = fromEntry(entries, slots.explicitDrf);
+    inputs.dporSafety = fromEntry(entries, slots.dporSafety);
+    inputs.dporDrf = fromEntry(entries, slots.dporDrf);
+    return inputs;
 }
 
 OracleReport
@@ -369,43 +444,9 @@ compareOracles(const OracleInputs &inputs, const OracleOptions &options)
     }
 
     if (options.smtVsExplicit) {
-        OracleOutcome o;
-        o.kind = OracleKind::SmtVsExplicit;
-        if (!inputs.explicitRan) {
-            o.verdict = OracleVerdict::Skipped;
-            o.detail = "explicit checker not run";
-        } else if (!inputs.explicitResult.supported) {
-            // The silent-skip hazard: an unsupported program must be
-            // reported as SKIPPED with the reason, never as agreement.
-            o.verdict = OracleVerdict::Skipped;
-            o.detail = inputs.explicitResult.unsupportedReason;
-        } else if (inputs.explicitResult.timedOut) {
-            o.verdict = OracleVerdict::Skipped;
-            o.detail = "explicit enumeration budget exhausted";
-        } else if (screen(inputs.builtinSafety, "builtin", o)) {
-            if (inputs.explicitResult.conditionHolds !=
-                inputs.builtinSafety.result.holds) {
-                o.verdict = OracleVerdict::Disagree;
-                o.detail =
-                    std::string("explicit=") +
-                    (inputs.explicitResult.conditionHolds ? "holds"
-                                                          : "fails") +
-                    " smt=" +
-                    (inputs.builtinSafety.result.holds ? "holds"
-                                                       : "fails");
-            } else if (inputs.modelFlagged &&
-                       screen(inputs.builtinDrf, "drf", o)) {
-                bool smtRace = !inputs.builtinDrf.result.holds;
-                if (inputs.explicitResult.raceFound != smtRace) {
-                    o.verdict = OracleVerdict::Disagree;
-                    o.detail =
-                        std::string("explicit race=") +
-                        (inputs.explicitResult.raceFound ? "yes" : "no") +
-                        " smt race=" + (smtRace ? "yes" : "no");
-                }
-            }
-        }
-        report.outcomes.push_back(std::move(o));
+        report.outcomes.push_back(compareEnumerative(
+            OracleKind::SmtVsExplicit, "explicit", inputs.explicitSafety,
+            inputs.explicitDrf, inputs));
     }
 
     if (options.z3VsBuiltin) {
@@ -447,6 +488,12 @@ compareOracles(const OracleInputs &inputs, const OracleOptions &options)
         report.outcomes.push_back(std::move(o));
     }
 
+    if (options.dpor) {
+        report.outcomes.push_back(
+            compareEnumerative(OracleKind::Dpor, "dpor", inputs.dporSafety,
+                               inputs.dporDrf, inputs));
+    }
+
     return report;
 }
 
@@ -454,84 +501,33 @@ OracleReport
 runOracles(const prog::Program &program, const cat::CatModel &model,
            const OracleOptions &options)
 {
-    OracleInputs inputs;
-    inputs.program = &program;
-    inputs.modelFlagged = model.hasFlaggedAxioms();
-
-    auto verify = [&](smt::BackendKind backend, int bound,
-                      core::Property property,
-                      const prog::Program &target) -> EngineRun {
-        core::VerifierOptions vo;
-        vo.backend = backend;
-        vo.bound = bound;
-        vo.validateWitness = true;
-        vo.solverTimeoutMs = options.solverTimeoutMs;
-        try {
-            core::Verifier verifier(target, model, vo);
-            return EngineRun::of(verifier.check(property));
-        } catch (const FatalError &error) {
-            return EngineRun::failure(error.what());
-        } catch (const std::exception &error) {
-            return EngineRun::failure(error.what());
-        }
-    };
-
-    bool needBuiltin =
-        options.roundTrip || options.smtVsExplicit ||
-        options.z3VsBuiltin || options.boundMono;
-    if (needBuiltin) {
-        inputs.builtinSafety =
-            verify(smt::BackendKind::Builtin, options.bound,
-                   core::Property::Safety, program);
-    }
-    if (options.z3VsBuiltin) {
-        inputs.z3Safety = verify(smt::BackendKind::Z3,
-                                 options.effectiveZ3Bound(),
-                                 core::Property::Safety, program);
-    }
-    if (options.boundMono) {
-        inputs.builtinNext =
-            verify(smt::BackendKind::Builtin, options.bound + 1,
-                   core::Property::Safety, program);
-    }
-    if (options.smtVsExplicit && inputs.modelFlagged) {
-        inputs.builtinDrf = verify(smt::BackendKind::Builtin,
-                                   options.bound, core::Property::CatSpec,
-                                   program);
-    }
-
-    prog::Program reparsed; // must outlive the verification below
+    prog::Program reparsed; // must outlive the batch run below
+    std::string roundTripError;
     if (options.roundTrip) {
         try {
             reparsed = litmus::parseLitmus(litmus::emitLitmus(program));
-            inputs.roundTripSafety =
-                verify(smt::BackendKind::Builtin, options.bound,
-                       core::Property::Safety, reparsed);
-        } catch (const FatalError &error) {
-            inputs.roundTripError = error.what();
         } catch (const std::exception &error) {
-            inputs.roundTripError = error.what();
+            roundTripError = error.what();
         }
     }
+    std::vector<core::BatchJob> batch;
+    OracleSlots slots = addOracleJobs(
+        program, options.roundTrip && roundTripError.empty() ? &reparsed
+                                                             : nullptr,
+        model, options, "oracle", batch);
+    std::vector<core::BatchEntry> entries =
+        core::BatchVerifier(1).run(batch);
 
-    if (options.smtVsExplicit) {
-        expl::ExplicitOptions eo;
-        eo.maxCandidates = options.explicitMaxCandidates;
-        eo.timeoutMs = options.explicitTimeoutMs;
-        expl::ExplicitChecker checker(program, model, eo);
-        inputs.explicitResult = checker.run();
-        inputs.explicitRan = true;
-    }
-
-    OracleReport report = compareOracles(inputs, options);
+    OracleReport report = compareOracles(
+        oracleInputs(program, model, slots, entries,
+                     std::move(roundTripError)),
+        options);
     if (options.sessionReuse)
         report.outcomes.push_back(sessionReuseOracle(program, model, options));
     if (options.clauseSharing) {
         report.outcomes.push_back(
             clauseSharingOracle(program, model, options));
     }
-    if (options.dpor)
-        report.outcomes.push_back(dporOracle(program, model, options));
     return report;
 }
 

@@ -26,10 +26,11 @@
  *                     next to smt-vs-explicit; unsupported programs
  *                     are SKIPPED with the reason
  *
- * The harness can run self-contained (runOracles, used by the shrinker
- * and the tests) or compare results produced elsewhere (compareOracles,
- * used by the campaign driver which fans the SMT queries out through
- * core::BatchVerifier).
+ * Every engine run the comparing oracles need, the enumerative ones
+ * included, is a core::BatchJob (addOracleJobs), so the campaign
+ * driver fans all of them out through one core::BatchVerifier run and
+ * compareOracles reads their results (oracleInputs). runOracles does
+ * the same for a single program, for the shrinker and the tests.
  */
 
 #ifndef GPUMC_FUZZ_ORACLE_HPP
@@ -39,8 +40,7 @@
 #include <vector>
 
 #include "cat/model.hpp"
-#include "core/verifier.hpp"
-#include "explicit/explicit_checker.hpp"
+#include "core/batch_verifier.hpp"
 #include "program/program.hpp"
 
 namespace gpumc::fuzz {
@@ -107,16 +107,15 @@ struct OracleOptions {
      */
     bool clauseSharing = false;
     /**
-     * DPOR-vs-SMT differential (self-contained in runOracles, like
-     * sessionReuse). Off by default: it re-verifies safety (and DRF)
-     * through a third engine per case.
+     * DPOR-vs-SMT differential. Off by default: it explores every case
+     * through a third engine.
      */
     bool dpor = false;
 
-    uint64_t explicitMaxCandidates = 50000;
-    double explicitTimeoutMs = 3000;
-    uint64_t dporMaxCandidates = 50000;
-    double dporTimeoutMs = 3000;
+    /** Budget of each enumerative (explicit or DPOR) check: a candidate
+     *  cap and a wall-clock budget in milliseconds. */
+    uint64_t enumerativeMaxCandidates = 50000;
+    int64_t enumerativeTimeoutMs = 3000;
     int64_t solverTimeoutMs = 0;
 
     int effectiveZ3Bound() const { return z3Bound > 0 ? z3Bound : bound; }
@@ -162,9 +161,44 @@ struct OracleInputs {
     /** Non-empty when emit/reparse itself failed. */
     std::string roundTripError;
 
-    bool explicitRan = false;
-    expl::ExplicitResult explicitResult;
+    EngineRun explicitSafety; // explicit baseline
+    EngineRun explicitDrf;    // explicit baseline CatSpec
+    EngineRun dporSafety;     // DPOR engine
+    EngineRun dporDrf;        // DPOR engine CatSpec
 };
+
+/** Batch-job indices of one case's engine runs (-1 = not run). */
+struct OracleSlots {
+    int builtin = -1;
+    int z3 = -1;
+    int next = -1;
+    int drf = -1;
+    int roundTrip = -1;
+    int explicitSafety = -1;
+    int explicitDrf = -1;
+    int dporSafety = -1;
+    int dporDrf = -1;
+};
+
+/**
+ * Append to @p batch the engine runs that the enabled comparing
+ * oracles need for @p program. @p reparsed is its emitted and
+ * reparsed copy (null when that failed or roundtrip is off); the
+ * pointees must outlive the batch run. Job labels start with @p tag.
+ */
+OracleSlots addOracleJobs(const prog::Program &program,
+                          const prog::Program *reparsed,
+                          const cat::CatModel &model,
+                          const OracleOptions &options,
+                          const std::string &tag,
+                          std::vector<core::BatchJob> &batch);
+
+/** The compareOracles inputs of one case, read from the batch run. */
+OracleInputs oracleInputs(const prog::Program &program,
+                          const cat::CatModel &model,
+                          const OracleSlots &slots,
+                          const std::vector<core::BatchEntry> &entries,
+                          std::string roundTripError);
 
 /** Did the quantified statement witness a behaviour? (exists: holds;
  *  ~exists/forall: a violating behaviour was found, i.e. !holds). */
@@ -198,19 +232,6 @@ OracleOutcome sessionReuseOracle(const prog::Program &program,
 OracleOutcome clauseSharingOracle(const prog::Program &program,
                                   const cat::CatModel &model,
                                   const OracleOptions &options);
-
-/**
- * Run just the DPOR-vs-SMT differential (self-contained): explore the
- * program with the DPOR engine and compare its condition verdict with
- * the builtin backend's safety verdict, and — for flagged models — its
- * race verdict with the CatSpec verdict. Unsupported programs and
- * exhausted exploration budgets report SKIPPED with the reason. Used
- * by runOracles when `options.dpor` is set and by the campaign driver,
- * which fans it across workers itself.
- */
-OracleOutcome dporOracle(const prog::Program &program,
-                         const cat::CatModel &model,
-                         const OracleOptions &options);
 
 /** Run every enabled engine sequentially and cross-check. */
 OracleReport runOracles(const prog::Program &program,

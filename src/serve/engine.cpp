@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <future>
 #include <sstream>
 
@@ -212,10 +213,9 @@ Engine::handleVerify(Request req, const Respond &respond)
     if (options_.maxTimeoutMs > 0 &&
         (budgetMs == 0 || budgetMs > options_.maxTimeoutMs))
         budgetMs = options_.maxTimeoutMs;
-    // The key carries the *requested* budget (stable across identical
-    // requests); the live deadline below carries the remaining one.
-    vopts.solverTimeoutMs = budgetMs;
 
+    // The key leaves the budget out: a definitive verdict does not
+    // depend on it, and the live deadline below is armed per request.
     core::SessionKey key = core::sessionKey(*program, *model, vopts);
     ResultKey resultKey{key, static_cast<int>(req.property)};
     std::string fingerprint =
@@ -266,12 +266,14 @@ Engine::handleVerify(Request req, const Respond &respond)
                 session->verifier = std::make_unique<core::Verifier>(
                     *session->program, *session->model, vopts);
             }
-            // Arm what is left of the request's budget on the live
-            // session (which may have been created by an earlier
-            // request with a different remaining budget).
-            if (deadline.limited())
-                session->verifier->setSolverTimeoutMs(
-                    deadline.remainingMs());
+            // Arm what is left of this request's budget on the live
+            // session, which an earlier request with another budget
+            // may have created. Like smt::armTimeLimit, a limited
+            // budget never maps to 0 (unlimited): it is at least 1 ms.
+            session->verifier->setSolverTimeoutMs(
+                deadline.limited()
+                    ? std::max<int64_t>(1, deadline.remainingMs())
+                    : 0);
             result = session->verifier->check(req.property);
         } catch (const FatalError &error) {
             poisoned = true;

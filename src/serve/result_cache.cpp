@@ -14,7 +14,7 @@ namespace gpumc::serve {
 namespace {
 
 /** Bumped whenever the entry layout changes. */
-constexpr int kCacheFileVersion = 1;
+constexpr int kCacheFileVersion = 2;
 constexpr size_t kKeyFields = std::tuple_size_v<core::SessionKey>;
 
 std::string

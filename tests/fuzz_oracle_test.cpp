@@ -95,10 +95,12 @@ TEST(FuzzOracle, CompareNeverTurnsUnsupportedIntoAgree)
     core::VerificationResult fake;
     fake.holds = true;
     inputs.builtinSafety = fuzz::EngineRun::of(fake);
-    inputs.explicitRan = true;
-    inputs.explicitResult.supported = false;
-    inputs.explicitResult.unsupportedReason = "compare-and-swap";
-    inputs.explicitResult.conditionHolds = true; // would "agree"
+    core::VerificationResult unsupported;
+    unsupported.unknown = true;
+    unsupported.detail =
+        std::string(core::kUnsupportedDetail) + "compare-and-swap";
+    unsupported.holds = true; // would "agree"
+    inputs.explicitSafety = fuzz::EngineRun::of(unsupported);
 
     fuzz::OracleOptions options;
     options = options.only(fuzz::OracleKind::SmtVsExplicit);

@@ -50,8 +50,8 @@ TEST_P(RandomDifferential, OraclesAgree)
     // instead of skipping.
     fuzz::FuzzConfig config = fuzz::FuzzConfig::basic(arch);
     fuzz::OracleOptions options;
-    options.explicitMaxCandidates = 30000;
-    options.explicitTimeoutMs = 3000;
+    options.enumerativeMaxCandidates = 30000;
+    options.enumerativeTimeoutMs = 3000;
 
     for (uint64_t round = 0; round < 30; ++round) {
         Program program =

@@ -31,9 +31,9 @@ core::SessionKey
 keyOf(uint64_t seed)
 {
     return core::SessionKey{seed,  seed + 1, seed + 2, seed + 3,
-                            0,     2,        8,        true,
-                            false, false,    false,    0,
-                            0,     0};
+                            0,     0,        2,        8,
+                            true,  false,    false,    false,
+                            0,     0,        0};
 }
 
 std::string
@@ -167,7 +167,7 @@ TEST(ResultCache, LoadFallsBackColdOnBadFiles)
     // Valid header, wrong key arity (a future gpumc's file): cold.
     {
         std::ofstream out(path);
-        out << "{\"gpumc_result_cache\":1,\"key_fields\":99}\n";
+        out << "{\"gpumc_result_cache\":2,\"key_fields\":99}\n";
     }
     EXPECT_FALSE(cache.loadFromFile(path));
     EXPECT_EQ(cache.counters().size, 0);
@@ -458,6 +458,32 @@ TEST(Engine, SecondIdenticalRequestHitsTheCache)
     EXPECT_EQ(bypassDoc.find("cache")->text, "miss");
     EXPECT_EQ(bypassDoc.find("detail")->text,
               coldDoc.find("detail")->text);
+}
+
+TEST(Engine, RequestDifferingOnlyInTimeoutHitsTheCache)
+{
+    // A definitive verdict does not depend on the budget, so the cache
+    // key leaves it out.
+    std::string source =
+        readFile(litmusPath("ptx/basic/sb-weak.litmus"));
+    serve::Engine engine(testEngineOptions());
+
+    std::string cold =
+        engine.handleSync(verifyLine(source, ",\"timeout_ms\":60000"));
+    std::string warm =
+        engine.handleSync(verifyLine(source, ",\"timeout_ms\":30000"));
+
+    std::string error;
+    JsonValue coldDoc = parseJson(cold, error);
+    ASSERT_TRUE(error.empty());
+    JsonValue warmDoc = parseJson(warm, error);
+    ASSERT_TRUE(error.empty());
+    EXPECT_EQ(coldDoc.find("cache")->text, "miss");
+    EXPECT_EQ(warmDoc.find("cache")->text, "hit");
+    EXPECT_EQ(coldDoc.find("holds")->boolean,
+              warmDoc.find("holds")->boolean);
+    EXPECT_EQ(coldDoc.find("detail")->text,
+              warmDoc.find("detail")->text);
 }
 
 TEST(Engine, CacheFilePersistsVerdictsAcrossRestart)

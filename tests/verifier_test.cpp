@@ -241,6 +241,37 @@ TEST(Verifier, SolverTimeoutReportsUnknown)
     EXPECT_NE(r.detail.find("resource limit"), std::string::npos);
 }
 
+TEST(Verifier, EnumerativeEngineReexploresAnExhaustedExploration)
+{
+    // Four writers per location: millions of candidates for the
+    // explicit baseline, so any budget below that runs out.
+    prog::Program program = litmus::parseLitmus(R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 | P2@cta 0,gpu 0 | P3@cta 0,gpu 0 | P4@cta 0,gpu 0 ;
+st.weak x, 1   | st.weak x, 2   | st.weak x, 3   | st.weak x, 4   | ld.weak r0, x  ;
+st.weak y, 1   | st.weak y, 2   | st.weak y, 3   | st.weak y, 4   | ld.weak r1, y  ;
+exists (P4:r0 == 1 /\ P4:r1 == 2)
+)");
+    core::VerifierOptions options;
+    options.engine = core::Engine::Explicit;
+    options.maxCandidates = 200;
+    options.solverTimeoutMs = 1;
+    core::Verifier verifier(program, ptx75Model(), options);
+    core::VerificationResult starved = verifier.checkSafety();
+    EXPECT_TRUE(starved.unknown);
+    EXPECT_LT(starved.stats.get("candidatesExplored"), 200);
+
+    // The next check explores again, under its own budget, rather than
+    // reusing the exhausted exploration.
+    verifier.setSolverTimeoutMs(0);
+    core::VerificationResult capped = verifier.checkSafety();
+    EXPECT_TRUE(capped.unknown);
+    EXPECT_EQ(capped.detail,
+              "exploration budget exhausted after 200 candidates");
+    EXPECT_EQ(capped.stats.get("sessionsBuilt"), 1);
+    EXPECT_EQ(capped.stats.get("candidatesExplored"), 200);
+}
+
 TEST(Verifier, GenerousTimeoutStillDecides)
 {
     prog::Program program = litmus::parseLitmusFile(

@@ -4,7 +4,7 @@
  * the shipped models, check `@expect` directives, and summarize — the
  * CLI counterpart of the corpus regression suite.
  *
- *   gpumc-corpus <directory> [--bound=N]
+ *   gpumc-corpus <directory> [--engine=smt|dpor|explicit] [--bound=N]
  *                [--backend=z3|builtin] [--cube-depth=N]
  *                [--jobs=N] [--timeout=MS] [--json[=FILE]]
  *                [--server=HOST:PORT|unix:PATH]
@@ -16,13 +16,16 @@
  * Per-query pipeline stats are not available in this mode.
  *
  * Queries (one per file x model x property expectation) are fanned out
- * across worker threads by core::BatchVerifier; queries of one file
- * against one model share a live incremental session (the pipeline
- * runs once per file x model), and results are reported in
- * deterministic input order regardless of --jobs. Verdicts:
+ * across worker threads by core::BatchVerifier, under every engine;
+ * queries of one file against one model share a live session (the
+ * SMT pipeline, or the DPOR/explicit exploration, runs once per file x
+ * model), and results are reported in deterministic input order
+ * regardless of --jobs. Verdicts:
  *   ok      verifier result matches the @expect directive
  *   FAIL    verifier result contradicts the directive
- *   UNKN    solver hit its resource budget — no verdict, not a FAIL
+ *   UNKN    no verdict, not a FAIL: the budget ran out, or the engine
+ *           cannot answer the query (liveness, or a program outside
+ *           the DPOR/explicit fragment)
  *   ERROR   the file could not be parsed / verified
  */
 
@@ -42,8 +45,6 @@
 
 #include "cat/model.hpp"
 #include "core/batch_verifier.hpp"
-#include "dpor/dpor_checker.hpp"
-#include "explicit/explicit_checker.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
@@ -57,12 +58,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-enum class EngineKind { Smt, Dpor, Explicit };
-
 struct CliOptions {
     std::string dir;
     core::VerifierOptions verifier;
-    EngineKind engine = EngineKind::Smt;
     unsigned jobs = 0; // 0 = hardware concurrency
     bool jsonToStdout = false;
     std::string jsonPath;
@@ -104,18 +102,19 @@ usage()
            "                solvers (default: off)\n"
            "  --engine=smt|dpor|explicit  verification engine (default: "
            "smt).\n"
-           "                dpor/explicit answer safety and drf "
-           "directly from\n"
-           "                enumerated executions; liveness "
-           "expectations report\n"
-           "                UNKN under them\n"
+           "                dpor/explicit answer safety and drf from one "
+           "exploration\n"
+           "                per file x model; liveness expectations and "
+           "programs\n"
+           "                outside their fragment report UNKN\n"
            "  --jobs=N      total thread budget shared by batch "
            "workers and\n"
-           "                cube solvers (default: hardware "
-           "concurrency;\n"
-           "                1 = sequential)\n"
-           "  --timeout=MS  solver budget per query; exhausted queries "
-           "report UNKN\n"
+           "                cube solvers, under every engine (default: "
+           "hardware\n"
+           "                concurrency; 1 = sequential)\n"
+           "  --timeout=MS  solver or exploration budget per query; "
+           "exhausted\n"
+           "                queries report UNKN\n"
            "  --json[=FILE] machine-readable report to stdout (sole "
            "output) or FILE\n"
            "  --trace=FILE  Chrome trace-event JSON of the batch run "
@@ -130,14 +129,6 @@ usage()
     std::exit(2);
 }
 
-/** cliInt (support/string_utils) partially applied to this tool. */
-int64_t
-cliInt(const std::string &flag, const std::string &value, int64_t min,
-       int64_t max)
-{
-    return gpumc::cliInt("gpumc-corpus", flag, value, min, max);
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -150,59 +141,34 @@ parseArgs(int argc, char **argv)
     bool cubeFlags = false; // --cube-depth or --clause-share given
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
-        if (startsWith(arg, "--bound=")) {
-            opts.verifier.bound = static_cast<int>(
-                cliInt("--bound", arg.substr(8), 0, 64));
-        } else if (startsWith(arg, "--jobs=")) {
+        auto eq = arg.find('=');
+        std::string key = startsWith(arg, "--") ? arg.substr(2, eq - 2) : "";
+        std::string value =
+            eq == std::string::npos ? "" : arg.substr(eq + 1);
+        if (core::parseVerifierFlag("gpumc-corpus", key, value,
+                                    opts.verifier, usage)) {
+            cubeFlags = cubeFlags || key == "cube-depth" ||
+                        key == "clause-share";
+        } else if (key == "jobs") {
             opts.jobs = static_cast<unsigned>(
-                cliInt("--jobs", arg.substr(7), 1, 1024));
-        } else if (startsWith(arg, "--timeout=")) {
-            opts.verifier.solverTimeoutMs =
-                cliInt("--timeout", arg.substr(10), 0, INT64_MAX);
-        } else if (arg == "--backend=z3") {
-            opts.verifier.backend = smt::BackendKind::Z3;
-        } else if (arg == "--backend=builtin") {
-            opts.verifier.backend = smt::BackendKind::Builtin;
-        } else if (startsWith(arg, "--cube-depth=")) {
-            opts.verifier.cubeDepth = static_cast<int>(
-                cliInt("--cube-depth", arg.substr(13), 0, 16));
-            cubeFlags = true;
-        } else if (startsWith(arg, "--clause-share=")) {
-            if (!smt::parseClauseShareMode(arg.substr(15),
-                                           opts.verifier.clauseShare))
-                usage();
-            cubeFlags = true;
-        } else if (arg == "--engine=smt") {
-            opts.engine = EngineKind::Smt;
-        } else if (arg == "--engine=dpor") {
-            opts.engine = EngineKind::Dpor;
-        } else if (arg == "--engine=explicit") {
-            opts.engine = EngineKind::Explicit;
-        } else if (startsWith(arg, "--server=")) {
-            opts.server = arg.substr(9);
-            if (opts.server.empty())
-                usage();
+                cliInt("gpumc-corpus", "--jobs", value, 1, 1024));
         } else if (arg == "--json") {
             opts.jsonToStdout = true;
-        } else if (startsWith(arg, "--json=")) {
-            opts.jsonPath = arg.substr(7);
-            if (opts.jsonPath.empty())
+        } else if (std::string *path = key == "server"    ? &opts.server
+                                       : key == "json"    ? &opts.jsonPath
+                                       : key == "trace"   ? &opts.tracePath
+                                       : key == "metrics" ? &opts.metricsPath
+                                                          : nullptr) {
+            if (value.empty())
                 usage();
-        } else if (startsWith(arg, "--trace=")) {
-            opts.tracePath = arg.substr(8);
-            if (opts.tracePath.empty())
-                usage();
-        } else if (startsWith(arg, "--metrics=")) {
-            opts.metricsPath = arg.substr(10);
-            if (opts.metricsPath.empty())
-                usage();
+            *path = value;
         } else {
             std::cerr << "gpumc-corpus: unknown option '" << arg
                       << "'\n";
             usage();
         }
     }
-    if (opts.engine != EngineKind::Smt && !opts.server.empty()) {
+    if (opts.verifier.engine != core::Engine::Smt && !opts.server.empty()) {
         std::cerr << "gpumc-corpus: --server only supports "
                      "--engine=smt\n";
         usage();
@@ -216,81 +182,6 @@ parseArgs(int argc, char **argv)
     }
     opts.verifier.wantWitness = false;
     return opts;
-}
-
-/**
- * Phase-2 alternative for --engine=dpor/--engine=explicit: answer each
- * safety / drf query from one enumerative exploration per file x model
- * (sequentially — the engines are single-run, not query-incremental).
- * Liveness queries and unsupported or budget-exhausted runs report
- * UNKN, matching how solver budget exhaustion is reported.
- */
-void
-runEnumerativeEngine(const CliOptions &opts,
-                     const std::vector<core::BatchJob> &batch,
-                     std::vector<core::BatchEntry> &entries)
-{
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const core::BatchJob &job = batch[i];
-        core::BatchEntry &entry = entries[i];
-        entry.label = job.label;
-        entry.result.property = job.property;
-        if (job.property == core::Property::Liveness) {
-            entry.result.unknown = true;
-            entry.result.detail =
-                "liveness is not supported by the enumerative engines";
-            continue;
-        }
-        bool supported, timedOut, conditionHolds, raceFound;
-        std::string reason;
-        double timeMs;
-        uint64_t candidates;
-        if (opts.engine == EngineKind::Dpor) {
-            dpor::DporOptions options;
-            options.timeoutMs = static_cast<double>(
-                opts.verifier.solverTimeoutMs);
-            dpor::DporChecker checker(*job.program, *job.model,
-                                      options);
-            dpor::DporResult r = checker.run();
-            supported = r.supported;
-            timedOut = r.timedOut;
-            conditionHolds = r.conditionHolds;
-            raceFound = r.raceFound;
-            reason = r.unsupportedReason;
-            timeMs = r.timeMs;
-            candidates = r.candidatesExplored;
-        } else {
-            expl::ExplicitOptions options;
-            options.timeoutMs = static_cast<double>(
-                opts.verifier.solverTimeoutMs);
-            expl::ExplicitChecker checker(*job.program, *job.model,
-                                          options);
-            expl::ExplicitResult r = checker.run();
-            supported = r.supported;
-            timedOut = r.timedOut;
-            conditionHolds = r.conditionHolds;
-            raceFound = r.raceFound;
-            reason = r.unsupportedReason;
-            timeMs = r.timeMs;
-            candidates = r.candidatesExplored;
-        }
-        entry.result.timeMs = timeMs;
-        if (!supported) {
-            entry.result.unknown = true;
-            entry.result.detail = "unsupported: " + reason;
-        } else if (timedOut) {
-            entry.result.unknown = true;
-            entry.result.detail = "exploration budget exhausted after " +
-                                  std::to_string(candidates) +
-                                  " candidates";
-        } else {
-            entry.result.holds = job.property == core::Property::Safety
-                                     ? conditionHolds
-                                     : !raceFound;
-            entry.result.detail =
-                std::to_string(candidates) + " candidates explored";
-        }
-    }
 }
 
 std::string
@@ -697,10 +588,7 @@ main(int argc, char **argv)
     core::BatchVerifier engine(opts.jobs);
     Stopwatch wall;
     std::vector<core::BatchEntry> entries;
-    if (opts.engine != EngineKind::Smt) {
-        entries.resize(batch.size());
-        runEnumerativeEngine(opts, batch, entries);
-    } else if (opts.server.empty()) {
+    if (opts.server.empty()) {
         entries = engine.run(batch);
     } else {
         entries.resize(batch.size());

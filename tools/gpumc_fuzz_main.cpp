@@ -18,7 +18,7 @@
  *              [--session-reuse] [--clause-sharing] [--dpor]
  *
  * The verdict log is deterministic for a fixed seed: identical across
- * runs and across --jobs values (SMT queries are fanned out through
+ * runs and across --jobs values (every engine run is fanned out through
  * core::BatchVerifier, which reports in input order).
  *
  * `--inject=bound-gap` deliberately runs the Z3 side of z3-vs-builtin

@@ -5,13 +5,18 @@
  *
  *   gpumc <test.litmus|test.spvasm> <model.cat>
  *         [--property=program_spec|cat_spec|liveness] [--all-properties]
- *         [--bound=N] [--backend=z3|builtin] [--cube-depth=N]
- *         [--grid=X.Y] [--witness] [--dot=<out.dot>] [--explicit]
+ *         [--engine=smt|dpor|explicit] [--bound=N] [--timeout=MS]
+ *         [--backend=z3|builtin] [--cube-depth=N] [--grid=X.Y]
+ *         [--witness] [--dot=<out.dot>]
  *
  * --all-properties checks program_spec, liveness and cat_spec on one
- * shared incremental session: the pipeline (unroll, analyses,
- * structural encoding) runs once and each property is an assumption-
- * guarded query on the same live solver.
+ * shared session: under SMT the pipeline (unroll, analyses, structural
+ * encoding) runs once and each property is an assumption-guarded
+ * query on the same live solver; under DPOR and the explicit baseline
+ * one exploration answers program_spec and cat_spec. Every engine
+ * exits 0 when the checked properties hold, 1 when one fails, 3 when
+ * one is unknown (out of budget, or outside the engine's fragment),
+ * and 2 on a usage or input error.
  */
 
 #include <cstring>
@@ -20,8 +25,6 @@
 
 #include "cat/model.hpp"
 #include "core/verifier.hpp"
-#include "dpor/dpor_checker.hpp"
-#include "explicit/explicit_checker.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "spirv/spirv_parser.hpp"
 #include "support/string_utils.hpp"
@@ -31,15 +34,12 @@ namespace {
 
 using namespace gpumc;
 
-enum class Engine { Smt, Dpor, Explicit };
-
 struct CliOptions {
     std::string inputPath;
     std::string modelPath;
     core::Property property = core::Property::Safety;
     bool allProperties = false;
     core::VerifierOptions verifier;
-    Engine engine = Engine::Smt;
     bool printWitness = false;
     std::string dotPath;
     std::string tracePath;
@@ -78,7 +78,9 @@ usage()
         "                     dpor: stateless model checking with\n"
         "                     incremental graph construction\n"
         "                     explicit: enumerate-everything baseline\n"
-        "  --explicit         alias for --engine=explicit\n";
+        "                     dpor and explicit check straight-line\n"
+        "                     programs; liveness is unknown under them\n"
+        "exit: 0 holds, 1 fails, 2 usage or input error, 3 unknown\n";
     std::exit(2);
 }
 
@@ -105,6 +107,9 @@ parseArgs(int argc, char **argv)
         std::string key = arg.substr(2, eq - 2);
         std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
+        if (core::parseVerifierFlag("gpumc", key, value, opts.verifier,
+                                    usage))
+            continue;
         if (key == "property") {
             if (value == "program_spec") {
                 opts.property = core::Property::Safety;
@@ -117,27 +122,6 @@ parseArgs(int argc, char **argv)
             }
         } else if (key == "all-properties") {
             opts.allProperties = true;
-        } else if (key == "bound") {
-            opts.verifier.bound =
-                static_cast<int>(cliInt(key, value, 0, 64));
-        } else if (key == "timeout") {
-            opts.verifier.solverTimeoutMs =
-                cliInt(key, value, 0, INT64_MAX);
-        } else if (key == "backend") {
-            if (value == "builtin") {
-                opts.verifier.backend = smt::BackendKind::Builtin;
-            } else if (value == "z3") {
-                opts.verifier.backend = smt::BackendKind::Z3;
-            } else {
-                usage();
-            }
-        } else if (key == "cube-depth") {
-            opts.verifier.cubeDepth =
-                static_cast<int>(cliInt(key, value, 0, 16));
-        } else if (key == "clause-share") {
-            if (!smt::parseClauseShareMode(value,
-                                           opts.verifier.clauseShare))
-                usage();
         } else if (key == "grid") {
             auto parts = split(value, '.');
             if (parts.size() != 2)
@@ -162,18 +146,6 @@ parseArgs(int argc, char **argv)
             if (value.empty())
                 usage();
             opts.metricsPath = value;
-        } else if (key == "engine") {
-            if (value == "smt") {
-                opts.engine = Engine::Smt;
-            } else if (value == "dpor") {
-                opts.engine = Engine::Dpor;
-            } else if (value == "explicit") {
-                opts.engine = Engine::Explicit;
-            } else {
-                usage();
-            }
-        } else if (key == "explicit") {
-            opts.engine = Engine::Explicit;
         } else {
             usage();
         }
@@ -183,71 +155,6 @@ parseArgs(int argc, char **argv)
     opts.inputPath = positional[0];
     opts.modelPath = positional[1];
     return opts;
-}
-
-int
-runExplicit(const prog::Program &program, const cat::CatModel &model,
-            const CliOptions &opts)
-{
-    expl::ExplicitOptions options;
-    options.timeoutMs =
-        static_cast<double>(opts.verifier.solverTimeoutMs);
-    expl::ExplicitChecker checker(program, model, options);
-    expl::ExplicitResult result = checker.run();
-    if (!result.supported) {
-        std::cout << "UNSUPPORTED: " << result.unsupportedReason << "\n";
-        return 3;
-    }
-    if (result.timedOut) {
-        std::cout << "result: UNKNOWN (exploration budget exhausted "
-                  << "after " << result.candidatesExplored
-                  << " candidates)\n";
-        return 3;
-    }
-    std::cout << "explicit checker: "
-              << result.consistentBehaviours << " consistent behaviours, "
-              << result.candidatesExplored << " candidates\n"
-              << "condition "
-              << (result.conditionHolds ? "HOLDS" : "FAILS") << "\n"
-              << "data race: " << (result.raceFound ? "YES" : "NO") << "\n"
-              << "time: " << result.timeMs << " ms\n";
-    return 0;
-}
-
-int
-runDpor(const prog::Program &program, const cat::CatModel &model,
-        const CliOptions &opts)
-{
-    dpor::DporOptions options;
-    options.timeoutMs =
-        static_cast<double>(opts.verifier.solverTimeoutMs);
-    dpor::DporChecker checker(program, model, options);
-    dpor::DporResult result = checker.run();
-    if (!result.supported) {
-        std::cout << "UNSUPPORTED: " << result.unsupportedReason << "\n";
-        return 3;
-    }
-    if (result.timedOut) {
-        std::cout << "result: UNKNOWN (exploration budget exhausted "
-                  << "after " << result.candidatesExplored
-                  << " candidates)\n";
-        return 3;
-    }
-    std::cout << "dpor engine: " << result.consistentBehaviours
-              << " consistent behaviours seen, "
-              << result.candidatesExplored << " candidates\n"
-              << "condition "
-              << (result.conditionHolds ? "HOLDS" : "FAILS") << "\n"
-              << "data race: " << (result.raceFound ? "YES" : "NO")
-              << "\n"
-              << "exploration: " << result.rfBranches
-              << " rf branches, " << result.prunedRfPrefixes
-              << " rf prefixes pruned, " << result.prunedCoBranches
-              << " co branches pruned, " << result.prunedSubtrees
-              << " subtrees pruned, " << result.earlyStops
-              << " early stops\n"
-              << "time: " << result.timeMs << " ms\n";
-    return 0;
 }
 
 int
@@ -267,12 +174,8 @@ runTool(const CliOptions &opts)
               << program.numThreads() << " threads)\n"
               << "model: " << model.name() << "\n";
 
-    if (opts.engine == Engine::Explicit)
-        return runExplicit(program, model, opts);
-    if (opts.engine == Engine::Dpor)
-        return runDpor(program, model, opts);
-
     core::Verifier verifier(program, model, opts.verifier);
+    const bool smt = opts.verifier.engine == core::Engine::Smt;
 
     if (opts.allProperties) {
         std::vector<core::VerificationResult> results =
@@ -281,7 +184,8 @@ runTool(const CliOptions &opts)
         bool allHold = true;
         double totalMs = 0;
         int64_t unrollUs = 0, analysisUs = 0, encodeUs = 0,
-                solveUs = 0, built = 0, reused = 0, queries = 0;
+                solveUs = 0, built = 0, reused = 0, queries = 0,
+                candidates = 0;
         for (const core::VerificationResult &result : results) {
             const char *name =
                 result.property == core::Property::Safety
@@ -307,15 +211,20 @@ runTool(const CliOptions &opts)
             built += result.stats.get("sessionsBuilt");
             reused += result.stats.get("sessionsReused");
             queries = result.stats.get("queriesOnSharedSession");
+            candidates += result.stats.get("candidatesExplored");
         }
         std::cout << "session: built " << built << ", reused "
                   << reused << ", shared-session queries " << queries
-                  << "\n"
-                  << "phases: unroll " << unrollUs / 1000.0
-                  << " ms, analysis " << analysisUs / 1000.0
-                  << " ms, encode " << encodeUs / 1000.0
-                  << " ms, solve " << solveUs / 1000.0 << " ms\n"
-                  << "time: " << totalMs << " ms\n";
+                  << "\n";
+        if (smt) {
+            std::cout << "phases: unroll " << unrollUs / 1000.0
+                      << " ms, analysis " << analysisUs / 1000.0
+                      << " ms, encode " << encodeUs / 1000.0
+                      << " ms, solve " << solveUs / 1000.0 << " ms\n";
+        } else {
+            std::cout << "exploration: " << candidates << " candidates\n";
+        }
+        std::cout << "time: " << totalMs << " ms\n";
         if (anyUnknown)
             return 3;
         return allHold ? 0 : 1;
@@ -340,27 +249,33 @@ runTool(const CliOptions &opts)
                             " statement is " +
                             (result.holds ? "true" : "false") + "]"
                       : result.holds ? " [pass]" : " [fail]")
-              << "\n"
-              << "events: " << result.stats.get("events")
-              << ", smt vars: " << result.stats.get("smtVars")
-              << ", clauses: " << result.stats.get("smtClauses")
-              << "\n"
-              << "phases: unroll "
-              << result.stats.get("phaseUnrollUs") / 1000.0
-              << " ms, analysis "
-              << result.stats.get("phaseAnalysisUs") / 1000.0
-              << " ms, encode "
-              << result.stats.get("phaseEncodeUs") / 1000.0
-              << " ms, solve "
-              << result.stats.get("phaseSolveUs") / 1000.0
-              << " ms\n"
-              << "solver: " << result.stats.get("solver.conflicts")
-              << " conflicts, "
-              << result.stats.get("solver.decisions")
-              << " decisions, "
-              << result.stats.get("solver.propagations")
-              << " propagations\n"
-              << "time: " << result.timeMs << " ms\n";
+              << "\n";
+    if (smt) {
+        std::cout << "events: " << result.stats.get("events")
+                  << ", smt vars: " << result.stats.get("smtVars")
+                  << ", clauses: " << result.stats.get("smtClauses")
+                  << "\n"
+                  << "phases: unroll "
+                  << result.stats.get("phaseUnrollUs") / 1000.0
+                  << " ms, analysis "
+                  << result.stats.get("phaseAnalysisUs") / 1000.0
+                  << " ms, encode "
+                  << result.stats.get("phaseEncodeUs") / 1000.0
+                  << " ms, solve "
+                  << result.stats.get("phaseSolveUs") / 1000.0
+                  << " ms\n"
+                  << "solver: " << result.stats.get("solver.conflicts")
+                  << " conflicts, "
+                  << result.stats.get("solver.decisions")
+                  << " decisions, "
+                  << result.stats.get("solver.propagations")
+                  << " propagations\n";
+    } else {
+        std::cout << "exploration: "
+                  << result.stats.get("candidatesExplored")
+                  << " candidates\n";
+    }
+    std::cout << "time: " << result.timeMs << " ms\n";
 
     if (result.witness) {
         if (opts.printWitness)
