@@ -15,7 +15,6 @@
 
 #include "cat/model.hpp"
 #include "core/verifier.hpp"
-#include "explicit/explicit_checker.hpp"
 #include "litmus/litmus_parser.hpp"
 
 namespace gpumc::bench {

@@ -17,7 +17,7 @@ using namespace gpumc;
 
 namespace {
 
-constexpr double kBaselineTimeoutMs = 15000;
+constexpr int64_t kBaselineTimeoutMs = 15000;
 
 void
 sweep(litmus::ScaledPattern pattern, prog::Arch arch,
@@ -41,12 +41,11 @@ sweep(litmus::ScaledPattern pattern, prog::Arch arch,
 
         double alloyMs = -1;
         if (baselineAlive) {
-            expl::ExplicitOptions explicitOptions;
-            explicitOptions.timeoutMs = kBaselineTimeoutMs;
-            expl::ExplicitChecker checker(program, model,
-                                          explicitOptions);
-            expl::ExplicitResult result = checker.run();
-            if (result.supported && !result.timedOut) {
+            options.engine = core::Engine::Explicit;
+            options.solverTimeoutMs = kBaselineTimeoutMs;
+            core::VerificationResult result =
+                core::Verifier(program, model, options).checkSafety();
+            if (!result.unknown) {
                 alloyMs = result.timeMs;
             } else {
                 baselineAlive = false; // it only gets worse
@@ -69,8 +68,8 @@ sweep(litmus::ScaledPattern pattern, prog::Arch arch,
 int
 main()
 {
-    std::printf("Fig. 15: scalability sweep (baseline timeout %.0fs)\n",
-                kBaselineTimeoutMs / 1000);
+    std::printf("Fig. 15: scalability sweep (baseline timeout %llds)\n",
+                static_cast<long long>(kBaselineTimeoutMs / 1000));
 
     std::vector<int> counts = {2, 4, 6, 8, 10, 12, 16, 20, 24};
     std::vector<int> iriwCounts = {4, 6, 8, 10, 12, 16, 20, 24};

@@ -107,19 +107,23 @@ runSuite(const std::vector<litmus::GeneratedTest> &tests,
 
         if (!alloyExists || !alloySupports(test.program))
             continue;
-        expl::ExplicitOptions explicitOptions;
-        explicitOptions.timeoutMs = 20000;
-        expl::ExplicitChecker checker(test.program, model,
-                                      explicitOptions);
-        expl::ExplicitResult ground = checker.run();
-        if (!ground.supported || ground.timedOut)
+        core::VerifierOptions baselineOptions = options;
+        baselineOptions.engine = core::Engine::Explicit;
+        baselineOptions.solverTimeoutMs = 20000;
+        core::Verifier baseline(test.program, model, baselineOptions);
+        core::VerificationResult groundSafety = baseline.checkSafety();
+        if (groundSafety.unknown)
             continue;
-        result.alloy.safety.add(ground.timeMs);
-        if (model.hasFlaggedAxioms())
-            result.alloy.drf.add(0.0); // same enumeration answers DRF
-        if (ground.conditionHolds != safety.holds ||
-            (model.hasFlaggedAxioms() &&
-             ground.raceFound == drfHolds)) {
+        result.alloy.safety.add(groundSafety.timeMs);
+        bool groundDrfHolds = true;
+        if (model.hasFlaggedAxioms()) {
+            // The safety exploration answers DRF as well.
+            core::VerificationResult groundDrf = baseline.checkCatSpec();
+            result.alloy.drf.add(groundDrf.timeMs);
+            groundDrfHolds = groundDrf.holds;
+        }
+        if (groundSafety.holds != safety.holds ||
+            groundDrfHolds != drfHolds) {
             result.disagreements++;
             std::cerr << "DISAGREEMENT on " << test.name << "\n";
         }

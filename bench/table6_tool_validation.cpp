@@ -16,15 +16,15 @@
  *  - the static tool missing scope-related races gpumc finds.
  *
  * The only option is --jobs=N, the number of gpumc workers (default:
- * hardware concurrency); any other argument is rejected with exit
- * code 2. The run exits 1 if either disagreement category is empty.
+ * hardware concurrency). The run exits 1 if either disagreement
+ * category is empty.
  */
 
 #include "bench/bench_util.hpp"
 #include "core/batch_verifier.hpp"
 #include "gpuverify/static_drf.hpp"
 #include "kernels/sync_kernels.hpp"
-#include "support/string_utils.hpp"
+#include "support/cli.hpp"
 #include "support/thread_budget.hpp"
 
 using namespace gpumc;
@@ -276,20 +276,9 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = 0; // hardware concurrency
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--jobs=")) {
-            jobs = static_cast<unsigned>(cliInt(
-                "table6_tool_validation", "--jobs", arg.substr(7), 1,
-                1024));
-        } else {
-            std::fprintf(stderr,
-                         "table6_tool_validation: unknown argument "
-                         "'%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
+    cli::Parser cli("table6_tool_validation", {});
+    cli.jobs(jobs);
+    cli.parse(argc, argv);
 
     std::vector<Kernel> corpus = generateKernelCorpus();
 

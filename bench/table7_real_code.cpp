@@ -5,12 +5,13 @@
  * weakening variants and different grids. "Correct" means the
  * mutual-exclusion/staleness violation encoded in the kernel's litmus
  * condition is unreachable. For the base variants, data-race freedom
- * is verified as well.
+ * is verified as well. --quick shrinks the grids for fast runs.
  */
 
 #include "bench/bench_util.hpp"
 #include "kernels/sync_kernels.hpp"
 #include "program/unroller.hpp"
+#include "support/cli.hpp"
 
 using namespace gpumc;
 using kernels::KernelGrid;
@@ -85,8 +86,12 @@ int
 main(int argc, char **argv)
 {
     // Default grids match the paper (caslock/ticketlock at 2.3,
-    // XF-barrier at 3.3); --quick shrinks them for fast runs.
-    bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    // XF-barrier at 3.3).
+    bool quick = false;
+    cli::Parser cli("table7_real_code", {});
+    cli.flag("quick", "run caslock and the XF-barrier at the 2.2 grid",
+             quick);
+    cli.parse(argc, argv);
     KernelGrid lockBase = quick ? KernelGrid{2, 2} : KernelGrid{2, 3};
     KernelGrid xfBase = quick ? KernelGrid{2, 2} : KernelGrid{3, 3};
 

@@ -5,7 +5,7 @@
 #include "encoder/relation_encoder.hpp"
 #include "explicit/explicit_checker.hpp"
 #include "program/unroller.hpp"
-#include "support/string_utils.hpp"
+#include "support/cli.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::core {
@@ -37,6 +37,8 @@ toUs(double ms)
  * Mirror a result's stats into the process-wide tracer so the metrics
  * export aggregates the same registry the results carry. Size-like
  * gauges keep their maximum; time and work counters accumulate.
+ * queriesOnSharedSession is a running total per session, so the
+ * session reports the queries it issued instead.
  */
 void
 publish(const StatsRegistry &stats)
@@ -45,6 +47,8 @@ publish(const StatsRegistry &stats)
     if (!tracer.enabled())
         return;
     for (const auto &[key, value] : stats.all()) {
+        if (key == "queriesOnSharedSession")
+            continue;
         if (key == "events" || key == "smtVars" || key == "smtClauses")
             tracer.counterMax(key, value);
         else
@@ -140,8 +144,8 @@ struct Verifier::Session {
     };
 
     // Members run in declaration order, so the interleaved `*Ms`
-    // members fence off the pipeline phases of the paper's Fig. 4:
-    // unroll -> exec analysis -> relation analysis -> encode -> solve.
+    // members fence off the pipeline phases: unroll -> exec analysis
+    // -> relation analysis -> encode -> solve.
     Stopwatch phaseWatch;
     prog::UnrolledProgram up;
     double unrollMs;
@@ -159,6 +163,8 @@ struct Verifier::Session {
     std::map<Property, PropertyQuery> queries;
     bool commonAsserted = false;
     int64_t queriesIssued = 0;
+    /** queriesIssued when the tracer last heard of it. */
+    int64_t queriesPublished = 0;
     int64_t timesReused = 0;
 
     // Per-check state, reset by beginCheck().
@@ -305,7 +311,7 @@ struct Verifier::Session {
     }
 
     /** Stamp phase timings and solver statistics into @p result. */
-    void exportStats(VerificationResult &result, bool builtSession) const
+    void exportStats(VerificationResult &result, bool builtSession)
     {
         // The pipeline phases ran once, when the session was built;
         // checks served from the live session only pay property
@@ -336,6 +342,9 @@ struct Verifier::Session {
             result.stats.set(solverPrefix + key, value - base);
         }
         publish(result.stats);
+        trace::counterAdd("queriesOnSharedSession",
+                          queriesIssued - queriesPublished);
+        queriesPublished = queriesIssued;
     }
 };
 
@@ -634,42 +643,51 @@ Verifier::exportPipelineStats(StatsRegistry &stats) const
     return true;
 }
 
-bool
-parseVerifierFlag(std::string_view tool, const std::string &key,
-                  const std::string &value, VerifierOptions &options,
-                  void (*usage)())
+void
+addBoundFlag(cli::Parser &cli, int &bound)
 {
-    const std::string flag = "--" + key;
-    if (key == "bound") {
-        options.bound = static_cast<int>(cliInt(tool, flag, value, 0, 64));
-    } else if (key == "timeout") {
-        options.solverTimeoutMs = cliInt(tool, flag, value, 0, INT64_MAX);
-    } else if (key == "cube-depth") {
-        options.cubeDepth =
-            static_cast<int>(cliInt(tool, flag, value, 0, 16));
-    } else if (key == "backend") {
-        if (value == "builtin")
-            options.backend = smt::BackendKind::Builtin;
-        else if (value == "z3")
-            options.backend = smt::BackendKind::Z3;
-        else
-            usage();
-    } else if (key == "engine") {
-        if (value == "smt")
-            options.engine = Engine::Smt;
-        else if (value == "dpor")
-            options.engine = Engine::Dpor;
-        else if (value == "explicit")
-            options.engine = Engine::Explicit;
-        else
-            usage();
-    } else if (key == "clause-share") {
-        if (!smt::parseClauseShareMode(value, options.clauseShare))
-            usage();
-    } else {
-        return false;
-    }
-    return true;
+    cli.integer("bound", "N", "loop unroll bound (default: 2)", bound,
+                prog::kMinBound, prog::kMaxBound);
+}
+
+void
+addTimeoutFlag(cli::Parser &cli, int64_t &timeoutMs)
+{
+    cli.integer("timeout", "MS",
+                "solver or exploration budget per check\n"
+                "(default: 0, unlimited)",
+                timeoutMs, 0, INT64_MAX);
+}
+
+void
+addVerifierFlags(cli::Parser &cli, VerifierOptions &options)
+{
+    cli.choice("engine",
+               "smt: bounded SMT encoding (default)\n"
+               "dpor: stateless model checking\n"
+               "explicit: enumerate-everything baseline\n"
+               "dpor and explicit check straight-line programs;\n"
+               "liveness is unknown under them",
+               {{"smt", Engine::Smt},
+                {"dpor", Engine::Dpor},
+                {"explicit", Engine::Explicit}},
+               options.engine);
+    addBoundFlag(cli, options.bound);
+    addTimeoutFlag(cli, options.solverTimeoutMs);
+    cli.choice("backend", "SMT backend (default: builtin)",
+               {{"z3", smt::BackendKind::Z3},
+                {"builtin", smt::BackendKind::Builtin}},
+               options.backend);
+    cli.integer("cube-depth", "N",
+                "split builtin-solver queries into 2^N cubes\n"
+                "solved in parallel (default: 0, off)",
+                options.cubeDepth, 0, 16);
+    cli.choice("clause-share",
+               "share learned clauses between the cube solvers\n"
+               "(default: off)",
+               {{"off", smt::ClauseShareMode::Off},
+                {"cube", smt::ClauseShareMode::Cube}},
+               options.clauseShare);
 }
 
 } // namespace gpumc::core

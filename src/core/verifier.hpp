@@ -38,6 +38,10 @@ namespace gpumc::analysis {
 struct EnumerationResult;
 } // namespace gpumc::analysis
 
+namespace gpumc::cli {
+class Parser;
+} // namespace gpumc::cli
+
 namespace gpumc::core {
 
 enum class Property { Safety, Liveness, CatSpec };
@@ -196,16 +200,18 @@ class Verifier {
     std::unique_ptr<analysis::EnumerationResult> explored_;
 };
 
+/** Declare `--bound=N` on @p cli, in [prog::kMinBound, prog::kMaxBound]. */
+void addBoundFlag(cli::Parser &cli, int &bound);
+
+/** Declare `--timeout=MS`, the budget of each check, on @p cli. */
+void addTimeoutFlag(cli::Parser &cli, int64_t &timeoutMs);
+
 /**
- * Parse one of the verifier flags the command-line tools share:
- * --bound, --timeout, --backend, --engine, --cube-depth and
- * --clause-share. @p key is the flag name without the dashes. Returns
- * false when @p key is none of them. A bad integer is reported by
- * cliInt (exit status 2); any other bad value calls @p usage.
+ * Declare the verifier flags the command-line tools share on @p cli:
+ * --engine, --bound, --timeout, --backend, --cube-depth and
+ * --clause-share.
  */
-bool parseVerifierFlag(std::string_view tool, const std::string &key,
-                       const std::string &value, VerifierOptions &options,
-                       void (*usage)());
+void addVerifierFlags(cli::Parser &cli, VerifierOptions &options);
 
 } // namespace gpumc::core
 

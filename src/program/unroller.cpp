@@ -327,7 +327,7 @@ class ThreadUnroller {
 UnrolledProgram
 unroll(const Program &program, int bound)
 {
-    GPUMC_ASSERT(bound >= 1, "unroll bound must be at least 1");
+    GPUMC_ASSERT(bound >= kMinBound, "unroll bound must be at least 1");
     UnrolledProgram out;
     out.program = &program;
     out.threadEntry.resize(program.numThreads());

@@ -86,9 +86,16 @@ struct UnrolledProgram {
     int numEvents() const { return static_cast<int>(events.size()); }
 };
 
+/** The unroll bounds a user may ask for: the `--bound` flag, the
+ *  corpus `@config bound=` key and the serve `bound` field check them
+ *  where they enter. */
+inline constexpr int kMinBound = 1;
+inline constexpr int kMaxBound = 64;
+
 /**
  * Unroll @p program with the given loop @p bound (number of backward
- * jumps allowed per thread). The program must have been validated.
+ * jumps allowed per thread, at least kMinBound). The program must have
+ * been validated.
  */
 UnrolledProgram unroll(const Program &program, int bound);
 

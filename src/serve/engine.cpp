@@ -237,8 +237,10 @@ Engine::handleVerify(Request req, const Respond &respond)
 
     // Admission: the deadline starts now and covers queueing, so a
     // request stuck behind a full queue spends its own budget, not a
-    // fresh one.
+    // fresh one. The task takes the request; keep its id for the
+    // overloaded answer.
     Deadline deadline = Deadline::in(budgetMs);
+    std::string id = req.id;
     auto task = [this, req = std::move(req), respond, program, model,
                  vopts, key, resultKey, fingerprint = std::move(fingerprint),
                  deadline, requestTimer]() mutable {
@@ -312,7 +314,7 @@ Engine::handleVerify(Request req, const Respond &respond)
 
     if (executor_->trySubmit(std::move(task)) ==
         Executor::Admit::Overloaded) {
-        respond(overloadedResponse(req.id));
+        respond(overloadedResponse(id));
     }
 }
 

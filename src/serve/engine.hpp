@@ -16,8 +16,8 @@
  * The per-request deadline covers queueing: it is armed at admission,
  * and the worker gives the solver only what is left of it (drawn from
  * the shared gpumc::Deadline just like Verifier's per-check budget).
- * The *requested* timeout — not the remaining budget — is what enters
- * the session key, so identical requests always map to one session.
+ * No budget enters the session key: requests that differ only in
+ * their timeout share one session and one cached verdict.
  *
  * `respond` may be invoked inline (cache hits, errors, ping/metrics)
  * or later from a worker thread; transports must tolerate both.

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "program/unroller.hpp"
 #include "support/json.hpp"
 
 namespace gpumc::serve {
@@ -134,8 +135,13 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         }
     }
     if (const JsonValue *v = doc.find("bound")) {
-        if (!v->isNumber() || v->asInt() < 0 || v->asInt() > 64)
-            return failParse(error, "'bound' must be in [0, 64]");
+        if (!v->isNumber() || v->asInt() < prog::kMinBound ||
+            v->asInt() > prog::kMaxBound) {
+            return failParse(error,
+                             "'bound' must be in [" +
+                                 std::to_string(prog::kMinBound) + ", " +
+                                 std::to_string(prog::kMaxBound) + "]");
+        }
         out.bound = static_cast<int>(v->asInt());
     }
     if (const JsonValue *v = doc.find("backend")) {

@@ -18,19 +18,6 @@ backendKindName(BackendKind kind)
     }
 }
 
-bool
-parseClauseShareMode(const std::string &text, ClauseShareMode &out)
-{
-    if (text == "off") {
-        out = ClauseShareMode::Off;
-    } else if (text == "cube") {
-        out = ClauseShareMode::Cube;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 std::unique_ptr<Backend>
 makeBackend(BackendKind kind, const BackendConfig &config)
 {

@@ -109,9 +109,6 @@ const char *backendKindName(BackendKind kind);
  */
 enum class ClauseShareMode { Off, Cube };
 
-/** Parse a --clause-share value; returns false on unknown text. */
-bool parseClauseShareMode(const std::string &text, ClauseShareMode &out);
-
 inline bool
 shareCubesEnabled(ClauseShareMode mode)
 {

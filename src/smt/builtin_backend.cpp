@@ -78,20 +78,6 @@ BuiltinBackend::solveMain(const std::vector<sat::Lit> &assumps)
         span.arg("propagations",
                  delta(after.propagations, before.propagations));
         span.arg("restarts", delta(after.restarts, before.restarts));
-        trace::Tracer &tracer = trace::Tracer::instance();
-        tracer.counterAdd("sat.queries", 1);
-        tracer.counterAdd(
-            "sat.conflicts",
-            static_cast<int64_t>(after.conflicts - before.conflicts));
-        tracer.counterAdd(
-            "sat.decisions",
-            static_cast<int64_t>(after.decisions - before.decisions));
-        tracer.counterAdd("sat.propagations",
-                          static_cast<int64_t>(after.propagations -
-                                               before.propagations));
-        tracer.counterAdd(
-            "sat.restarts",
-            static_cast<int64_t>(after.restarts - before.restarts));
     }
 
     switch (status) {

@@ -62,28 +62,10 @@ Z3Backend::solve(const std::vector<Lit> &assumptions)
         assumps.push_back(impl_->literal(l));
 
     trace::Span span("z3-solve");
-    const bool traced = trace::Tracer::instance().enabled();
-    std::map<std::string, int64_t> before;
-    if (traced)
-        before = statistics();
-
     z3::check_result result = impl_->solver.check(assumps);
-
-    if (traced) {
-        // Per-query deltas of Z3's native statistics, passed through
-        // under the `z3.` counter namespace.
-        trace::Tracer &tracer = trace::Tracer::instance();
-        tracer.counterAdd("z3.queries", 1);
-        for (const auto &[key, value] : statistics()) {
-            auto it = before.find(key);
-            int64_t base = it == before.end() ? 0 : it->second;
-            if (value != base)
-                tracer.counterAdd("z3." + key, value - base);
-        }
-        span.arg("result", result == z3::sat     ? "sat"
-                           : result == z3::unsat ? "unsat"
-                                                 : "unknown");
-    }
+    span.arg("result", result == z3::sat     ? "sat"
+                       : result == z3::unsat ? "unsat"
+                                             : "unknown");
 
     if (result == z3::sat) {
         impl_->model = std::make_unique<z3::model>(impl_->solver.get_model());

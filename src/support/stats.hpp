@@ -45,13 +45,22 @@ class Deadline {
     /** Unlimited deadline (never expires). */
     Deadline() = default;
 
-    /** Deadline @p ms milliseconds from now; ms <= 0 means unlimited. */
+    /**
+     * Deadline @p ms milliseconds from now; ms <= 0 means unlimited. A
+     * budget past the end of the clock's range saturates at its end
+     * instead of wrapping into the past.
+     */
     static Deadline in(int64_t ms)
     {
         Deadline d;
         if (ms > 0) {
             d.limited_ = true;
-            d.expiry_ = Clock::now() + std::chrono::milliseconds(ms);
+            Clock::time_point now = Clock::now();
+            auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::time_point::max() - now);
+            d.expiry_ = ms < left.count()
+                            ? now + std::chrono::milliseconds(ms)
+                            : Clock::time_point::max();
         }
         return d;
     }

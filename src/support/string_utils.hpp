@@ -44,8 +44,8 @@ bool isInteger(std::string_view s);
 std::optional<int64_t> parseInt(std::string_view s);
 
 /**
- * Guarded replacement for std::stoi on CLI flag values, shared by the
- * command-line tools and bench/table6_tool_validation. Parses @p value
+ * Guarded replacement for std::stoi on CLI flag values, behind the
+ * integer flags of cli::Parser. Parses @p value
  * and range-checks it against [@p min, @p max]; on failure prints
  * "<tool>: invalid value '<value>' for <flag> ..." to stderr and
  * exits with the usage status (2).

@@ -43,8 +43,8 @@ class ThreadBudget {
     /**
      * Cap the total number of concurrently running threads (callers
      * plus helpers) at @p total; 0 restores the default,
-     * defaultConcurrency(). Called once by CLI drivers when parsing
-     * `--jobs=N`. Does not reclaim slots already handed out.
+     * defaultConcurrency(). Set by the `--jobs=N` flag of
+     * cli::Parser. Does not reclaim slots already handed out.
      */
     void setTotal(unsigned total);
 

@@ -246,33 +246,4 @@ Tracer::writeMetricsFile(const std::string &path,
                      [&](std::ostream &os) { writeMetrics(os); });
 }
 
-bool
-enableFromCli(const std::string &tracePath,
-              const std::string &metricsPath)
-{
-    if (tracePath.empty() && metricsPath.empty())
-        return false;
-    Tracer::instance().enable();
-    return true;
-}
-
-bool
-flushCliOutputs(const std::string &tracePath,
-                const std::string &metricsPath, std::ostream &err)
-{
-    const Tracer &tracer = Tracer::instance();
-    bool ok = true;
-    std::string error;
-    if (!tracePath.empty() && !tracer.writeChromeTraceFile(tracePath, error)) {
-        err << "trace: " << error << "\n";
-        ok = false;
-    }
-    if (!metricsPath.empty() &&
-        !tracer.writeMetricsFile(metricsPath, error)) {
-        err << "metrics: " << error << "\n";
-        ok = false;
-    }
-    return ok;
-}
-
 } // namespace gpumc::trace

@@ -4,9 +4,9 @@
  *
  * One process-wide `trace::Tracer` collects
  *  - *spans*: named wall-clock intervals on a per-thread lane (the
- *    pipeline phases of the paper's Fig. 4 — unroll, exec analysis,
- *    relation analysis, structural encoding — plus per-property encode
- *    and solve intervals, and one lane per BatchVerifier worker), and
+ *    pipeline phases — unroll, exec analysis, relation analysis,
+ *    structural encoding — plus per-property encode and solve
+ *    intervals, and one lane per BatchVerifier worker), and
  *  - *counters*: named monotonic totals (per-`.cat`-relation bound and
  *    encoding sizes, solver conflicts/propagations/restarts, phase
  *    time totals, session cache hits).
@@ -180,22 +180,6 @@ counterAdd(const std::string &name, int64_t delta)
     if (tracer.enabled())
         tracer.counterAdd(name, delta);
 }
-
-/**
- * CLI plumbing shared by the gpumc / gpumc-corpus / gpumc-fuzz tools:
- * enable the process tracer iff `--trace=FILE` or `--metrics=FILE`
- * was given. Returns true when tracing was enabled.
- */
-bool enableFromCli(const std::string &tracePath,
-                   const std::string &metricsPath);
-
-/**
- * Write the outputs requested on the command line (empty path = not
- * requested). Failures are reported on @p err; returns false if any
- * write failed.
- */
-bool flushCliOutputs(const std::string &tracePath,
-                     const std::string &metricsPath, std::ostream &err);
 
 } // namespace gpumc::trace
 

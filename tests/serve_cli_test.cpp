@@ -341,6 +341,98 @@ TEST(ServeCli, ConcurrentClientSoak)
     EXPECT_EQ(daemon.terminate(), 0);
 }
 
+TEST(ServeCli, DeploymentFlagsReachTheDaemon)
+{
+    std::string cacheFile = ::testing::TempDir() + "gpumc_serve_cli_cache_" +
+                            std::to_string(getpid()) + ".jsonl";
+    std::remove(cacheFile.c_str());
+    // One worker, a one-slot queue, one cached verdict, one live
+    // session, and a 100 ms cap on every request.
+    Daemon daemon({"--jobs=1", "--queue=1", "--result-cache=1",
+                   "--session-cache=1", "--max-timeout=100",
+                   "--cache-file=" + cacheFile});
+    ASSERT_TRUE(daemon.running());
+    Client client(daemon.port());
+    ASSERT_TRUE(client.connected());
+
+    // Two programs: each evicts the other from the one-entry result
+    // cache and session pool.
+    for (const char *file :
+         {"ptx/basic/mp-weak.litmus", "ptx/basic/sb-weak.litmus"}) {
+        JsonValue done = parsed(
+            client.roundTrip(verifyLine(readFile(litmusPath(file)))));
+        ASSERT_NE(done.find("status"), nullptr) << file;
+        ASSERT_EQ(done.find("status")->text, "ok") << file;
+        EXPECT_FALSE(done.find("unknown")->boolean) << file;
+    }
+
+    // Three requests at once whose solve alone needs far more than
+    // 100 ms: the worker takes one, the queue holds at most one more,
+    // the rest are overloaded, and the cap leaves every admitted one
+    // unknown.
+    std::string slow =
+        readFile(litmusPath("ptx/paper/fig13-ticket-mutex.litmus"));
+    std::string lines;
+    for (int id = 10; id < 13; ++id) {
+        lines += (lines.empty() ? "" : "\n") + std::string("{\"id\":") +
+                 std::to_string(id) + ",\"litmus\":" + jsonString(slow) +
+                 ",\"model\":\"ptx-v6.0\",\"bound\":8}";
+    }
+    ASSERT_TRUE(client.send(lines));
+    int overloaded = 0;
+    for (int i = 0; i < 3; ++i) {
+        JsonValue response = parsed(client.recvLine());
+        ASSERT_NE(response.find("status"), nullptr);
+        const std::string &status = response.find("status")->text;
+        if (status == "overloaded") {
+            overloaded++;
+            continue;
+        }
+        ASSERT_EQ(status, "ok");
+        EXPECT_TRUE(response.find("unknown")->boolean);
+    }
+    EXPECT_GE(overloaded, 1);
+
+    JsonValue metrics =
+        parsed(client.roundTrip(R"({"id":20,"op":"metrics"})"));
+    const JsonValue *results = metrics.find("result_cache");
+    const JsonValue *sessions = metrics.find("session_cache");
+    const JsonValue *executor = metrics.find("executor");
+    ASSERT_TRUE(results && sessions && executor);
+    EXPECT_EQ(results->find("size")->number, 1);
+    EXPECT_EQ(results->find("evictions")->number, 1);
+    EXPECT_EQ(sessions->find("size")->number, 1);
+    EXPECT_GE(sessions->find("evictions")->number, 1);
+    EXPECT_EQ(executor->find("rejected")->number, overloaded);
+
+    // The cache file is written on shutdown.
+    EXPECT_EQ(daemon.terminate(), 0);
+    EXPECT_FALSE(readFile(cacheFile).empty());
+    std::remove(cacheFile.c_str());
+}
+
+TEST(ServeCli, BadBoundAnswersAnErrorAndTheDaemonLives)
+{
+    Daemon daemon;
+    ASSERT_TRUE(daemon.running());
+    Client client(daemon.port());
+    ASSERT_TRUE(client.connected());
+
+    std::string source = readFile(litmusPath("ptx/basic/mp-weak.litmus"));
+    JsonValue bad = parsed(client.roundTrip(
+        "{\"id\":1,\"litmus\":" + jsonString(source) +
+        ",\"model\":\"ptx-v6.0\",\"bound\":0}"));
+    ASSERT_NE(bad.find("status"), nullptr);
+    EXPECT_EQ(bad.find("status")->text, "error");
+
+    JsonValue pong =
+        parsed(client.roundTrip(R"({"id":2,"op":"ping"})"));
+    ASSERT_NE(pong.find("status"), nullptr);
+    EXPECT_EQ(pong.find("status")->text, "ok");
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
 TEST(ServeCli, StdioModeServesAPipe)
 {
     // The default transport: requests on stdin, responses on stdout,

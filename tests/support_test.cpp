@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: string helpers, stopwatch/stats,
- * diagnostics, thread pool / parallel-for.
+ * diagnostics, thread pool / parallel-for, the command-line parser.
  */
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <numeric>
 #include <thread>
 
+#include "support/cli.hpp"
 #include "support/diagnostics.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
@@ -195,6 +196,110 @@ TEST(Deadline, CountsDownAndExpires)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_TRUE(tiny.expired());
     EXPECT_EQ(tiny.remainingMs(), 0);
+}
+
+TEST(Deadline, HugeBudgetSaturatesInsteadOfWrapping)
+{
+    // INT64_MAX ms is past the steady clock's range in nanoseconds:
+    // the deadline must stay limited and far in the future.
+    for (int64_t ms : {INT64_MAX, int64_t{9000000000000}}) {
+        Deadline deadline = Deadline::in(ms);
+        EXPECT_TRUE(deadline.limited()) << ms;
+        EXPECT_FALSE(deadline.expired()) << ms;
+        EXPECT_GT(deadline.remainingMs(), int64_t{1} << 40) << ms;
+    }
+}
+
+/** One flag of each shape, with their defaults. */
+struct CliFlags {
+    bool on = false;
+    std::string path;
+    bool pathBare = false;
+    int64_t n = 7;
+    int pick = 0;
+
+    void declare(cli::Parser &cli)
+    {
+        cli.flag("on", "a switch", on);
+        cli.text("path", "FILE", "a path", path, &pathBare);
+        cli.integer("n", "N", "an integer", n, 1, 64);
+        cli.choice("pick", "a choice", {{"a", 1}, {"b", 2}}, pick);
+    }
+};
+
+/** Parse @p args, which omit the program name, on @p cli. */
+std::vector<std::string>
+parseCli(cli::Parser &cli, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "tool");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return cli.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, ParsesTheFourShapes)
+{
+    cli::Parser cli("tool", {"<in>"});
+    CliFlags flags;
+    flags.declare(cli);
+    EXPECT_EQ(parseCli(cli, {"--on", "in.litmus", "--path=out.json",
+                             "--n=64", "--pick=b"}),
+              std::vector<std::string>{"in.litmus"});
+    EXPECT_TRUE(flags.on);
+    EXPECT_EQ(flags.path, "out.json");
+    EXPECT_FALSE(flags.pathBare);
+    EXPECT_EQ(flags.n, 64);
+    EXPECT_EQ(flags.pick, 2);
+    EXPECT_TRUE(cli.given("pick"));
+}
+
+TEST(Cli, KeepsDefaultsAndTakesTheBareForm)
+{
+    cli::Parser cli("tool", {"<in>"});
+    CliFlags flags;
+    flags.declare(cli);
+    parseCli(cli, {"in.litmus", "--path"});
+    EXPECT_TRUE(flags.pathBare);
+    EXPECT_EQ(flags.path, "");
+    EXPECT_FALSE(flags.on);
+    EXPECT_EQ(flags.n, 7);
+    EXPECT_EQ(flags.pick, 0);
+    EXPECT_TRUE(cli.given("path"));
+    EXPECT_FALSE(cli.given("n"));
+}
+
+/** Parse @p args on a fresh parser with CliFlags declared. */
+void
+parseFresh(std::vector<std::string> args)
+{
+    cli::Parser cli("tool", {"<in>"});
+    CliFlags flags;
+    flags.declare(cli);
+    parseCli(cli, std::move(args));
+}
+
+TEST(CliDeathTest, MisuseExitsTwo)
+{
+    using ::testing::ExitedWithCode;
+    EXPECT_EXIT(parseFresh({"in", "--on=no"}), ExitedWithCode(2),
+                "tool: --on takes no value");
+    EXPECT_EXIT(parseFresh({"in", "--path="}), ExitedWithCode(2),
+                "tool: --path needs a non-empty value");
+    EXPECT_EXIT(parseFresh({"in", "--n=0"}), ExitedWithCode(2),
+                "tool: invalid value '0' for --n "
+                "\\(expected integer in \\[1, 64\\]\\)");
+    EXPECT_EXIT(parseFresh({"in", "--pick=c"}), ExitedWithCode(2),
+                "tool: invalid value 'c' for --pick");
+    EXPECT_EXIT(parseFresh({"in", "--frobnicate"}), ExitedWithCode(2),
+                "tool: unknown argument '--frobnicate'");
+    EXPECT_EXIT(parseFresh({"in", "extra"}), ExitedWithCode(2),
+                "tool: unknown argument 'extra'");
+    // The usage lists every declared flag in its shape.
+    EXPECT_EXIT(parseFresh({}), ExitedWithCode(2),
+                "usage: tool <in> \\[options\\]\n"
+                "  --on .*\n  --path\\[=FILE\\] .*\n  --n=N .*\n"
+                "  --pick=a\\|b ");
 }
 
 TEST(Stats, StopwatchAdvances)

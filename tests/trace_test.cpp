@@ -218,7 +218,10 @@ TEST(Trace, MetricsReconcileWithVerificationResultStats)
     ASSERT_EQ(results.size(), 3u);
 
     // The tracer's counter registry must agree with the per-result
-    // stats: gauges carry the maximum, everything else the sum.
+    // stats: gauges carry the maximum, everything else the sum, except
+    // queriesOnSharedSession, a running total per session: the tracer
+    // counts the queries issued (the third check, cat_spec on PTX,
+    // holds without one).
     trace::Tracer &tracer = trace::Tracer::instance();
     std::map<std::string, int64_t> sums;
     std::map<std::string, int64_t> maxes;
@@ -231,9 +234,13 @@ TEST(Trace, MetricsReconcileWithVerificationResultStats)
     for (const auto &[key, sum] : sums) {
         bool gauge =
             key == "events" || key == "smtVars" || key == "smtClauses";
+        if (key == "queriesOnSharedSession")
+            continue;
         EXPECT_EQ(tracer.counter(key), gauge ? maxes[key] : sum)
             << "counter " << key;
     }
+    EXPECT_EQ(results.back().stats.get("queriesOnSharedSession"), 2);
+    EXPECT_EQ(tracer.counter("queriesOnSharedSession"), 2);
 
     // The span aggregates of the metrics export must reconcile with
     // the phase times the results report. Build-phase spans come from

@@ -2,12 +2,9 @@
  * @file
  * gpumc-corpus: batch-run every litmus test under a directory against
  * the shipped models, check `@expect` directives, and summarize — the
- * CLI counterpart of the corpus regression suite.
- *
- *   gpumc-corpus <directory> [--engine=smt|dpor|explicit] [--bound=N]
- *                [--backend=z3|builtin] [--cube-depth=N]
- *                [--jobs=N] [--timeout=MS] [--json[=FILE]]
- *                [--server=HOST:PORT|unix:PATH]
+ * CLI counterpart of the corpus regression suite. Run it without
+ * arguments for the flag list. A test's `@config bound=N` key
+ * overrides --bound for that file.
  *
  * With --server the tool becomes a thin client of a running
  * gpumc-serve daemon: every query is sent as a line-delimited JSON
@@ -46,12 +43,12 @@
 #include "cat/model.hpp"
 #include "core/batch_verifier.hpp"
 #include "litmus/litmus_parser.hpp"
+#include "program/unroller.hpp"
 #include "serve/protocol.hpp"
+#include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
-#include "support/thread_budget.hpp"
-#include "support/trace.hpp"
 
 using namespace gpumc;
 namespace fs = std::filesystem;
@@ -64,8 +61,6 @@ struct CliOptions {
     unsigned jobs = 0; // 0 = hardware concurrency
     bool jsonToStdout = false;
     std::string jsonPath;
-    std::string tracePath;
-    std::string metricsPath;
     std::string server; // HOST:PORT or unix:PATH; empty = run locally
 };
 
@@ -86,100 +81,29 @@ struct FileReport {
     int runsWithoutExpectations = 0;
 };
 
-[[noreturn]] void
-usage()
-{
-    std::cerr
-        << "usage: gpumc-corpus <directory> [options]\n"
-           "  --bound=N     loop unroll bound (overridden by a test's "
-           "`bound` meta key)\n"
-           "  --backend=z3|builtin   (default: builtin)\n"
-           "  --cube-depth=N  split builtin-solver queries into 2^N "
-           "cubes\n"
-           "                solved in parallel (default: 0, off)\n"
-           "  --clause-share=off|cube  share learned clauses between "
-           "the cube\n"
-           "                solvers (default: off)\n"
-           "  --engine=smt|dpor|explicit  verification engine (default: "
-           "smt).\n"
-           "                dpor/explicit answer safety and drf from one "
-           "exploration\n"
-           "                per file x model; liveness expectations and "
-           "programs\n"
-           "                outside their fragment report UNKN\n"
-           "  --jobs=N      total thread budget shared by batch "
-           "workers and\n"
-           "                cube solvers, under every engine (default: "
-           "hardware\n"
-           "                concurrency; 1 = sequential)\n"
-           "  --timeout=MS  solver or exploration budget per query; "
-           "exhausted\n"
-           "                queries report UNKN\n"
-           "  --json[=FILE] machine-readable report to stdout (sole "
-           "output) or FILE\n"
-           "  --trace=FILE  Chrome trace-event JSON of the batch run "
-           "(one lane\n"
-           "                per worker; chrome://tracing, Perfetto)\n"
-           "  --metrics=FILE  flat metrics JSON (counters + span "
-           "aggregates)\n"
-           "  --server=HOST:PORT|unix:PATH  send every query to a "
-           "running\n"
-           "                gpumc-serve daemon instead of verifying "
-           "locally\n";
-    std::exit(2);
-}
-
 CliOptions
-parseArgs(int argc, char **argv)
+parseArgs(cli::Parser &cli, int argc, char **argv)
 {
-    if (argc < 2)
-        usage();
     CliOptions opts;
-    opts.dir = argv[1];
-    if (startsWith(opts.dir, "--"))
-        usage();
-    bool cubeFlags = false; // --cube-depth or --clause-share given
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto eq = arg.find('=');
-        std::string key = startsWith(arg, "--") ? arg.substr(2, eq - 2) : "";
-        std::string value =
-            eq == std::string::npos ? "" : arg.substr(eq + 1);
-        if (core::parseVerifierFlag("gpumc-corpus", key, value,
-                                    opts.verifier, usage)) {
-            cubeFlags = cubeFlags || key == "cube-depth" ||
-                        key == "clause-share";
-        } else if (key == "jobs") {
-            opts.jobs = static_cast<unsigned>(
-                cliInt("gpumc-corpus", "--jobs", value, 1, 1024));
-        } else if (arg == "--json") {
-            opts.jsonToStdout = true;
-        } else if (std::string *path = key == "server"    ? &opts.server
-                                       : key == "json"    ? &opts.jsonPath
-                                       : key == "trace"   ? &opts.tracePath
-                                       : key == "metrics" ? &opts.metricsPath
-                                                          : nullptr) {
-            if (value.empty())
-                usage();
-            *path = value;
-        } else {
-            std::cerr << "gpumc-corpus: unknown option '" << arg
-                      << "'\n";
-            usage();
-        }
-    }
-    if (opts.verifier.engine != core::Engine::Smt && !opts.server.empty()) {
-        std::cerr << "gpumc-corpus: --server only supports "
-                     "--engine=smt\n";
-        usage();
-    }
-    if (cubeFlags && !opts.server.empty()) {
-        // The wire request carries no cube options, so the daemon
-        // would silently verify without them.
-        std::cerr << "gpumc-corpus: --server does not support "
-                     "--cube-depth or --clause-share\n";
-        usage();
-    }
+    core::addVerifierFlags(cli, opts.verifier);
+    cli.jobs(opts.jobs);
+    cli.text("json", "FILE",
+             "machine-readable report to stdout (sole output)\n"
+             "or FILE",
+             opts.jsonPath, &opts.jsonToStdout);
+    cli.text("server", "HOST:PORT|unix:PATH",
+             "send every query to a running gpumc-serve\n"
+             "daemon instead of verifying locally",
+             opts.server);
+    cli.traceOutputs();
+    opts.dir = cli.parse(argc, argv)[0];
+    if (opts.verifier.engine != core::Engine::Smt && !opts.server.empty())
+        cli.fail("--server only supports --engine=smt");
+    // The wire request carries no cube options, so the daemon would
+    // silently verify without them.
+    if ((cli.given("cube-depth") || cli.given("clause-share")) &&
+        !opts.server.empty())
+        cli.fail("--server does not support --cube-depth or --clause-share");
     opts.verifier.wantWitness = false;
     return opts;
 }
@@ -512,12 +436,8 @@ writeJson(std::ostream &os, const CliOptions &opts,
 int
 main(int argc, char **argv)
 {
-    CliOptions opts = parseArgs(argc, argv);
-    trace::enableFromCli(opts.tracePath, opts.metricsPath);
-    // --jobs is the *total* thread cap: batch workers and cube solvers
-    // both draw from this one budget, so jobs x cubes oversubscription
-    // cannot happen.
-    ThreadBudget::instance().setTotal(opts.jobs);
+    cli::Parser cli("gpumc-corpus", {"<directory>"});
+    CliOptions opts = parseArgs(cli, argc, argv);
 
     cat::CatModel ptx60 = cat::CatModel::fromFile(
         std::string(GPUMC_CAT_DIR) + "/ptx-v6.0.cat");
@@ -558,9 +478,11 @@ main(int argc, char **argv)
             auto bound = program.meta.find("bound");
             if (bound != program.meta.end()) {
                 std::optional<int64_t> value = parseInt(bound->second);
-                if (!value || *value < 0 || *value > 64) {
+                if (!value || *value < prog::kMinBound ||
+                    *value > prog::kMaxBound) {
                     fatal("invalid `bound` meta value '", bound->second,
-                          "' (expected integer in [0, 64])");
+                          "' (expected integer in [", prog::kMinBound,
+                          ", ", prog::kMaxBound, "])");
                 }
                 options.bound = static_cast<int>(*value);
             }
@@ -679,10 +601,5 @@ main(int argc, char **argv)
                         opts.jsonPath.c_str());
         }
     }
-    if (!trace::flushCliOutputs(opts.tracePath, opts.metricsPath,
-                                std::cerr) &&
-        code == 0) {
-        code = 2;
-    }
-    return code;
+    return cli.finish(code);
 }

@@ -10,12 +10,7 @@
  * --dpor a seventh comparing the DPOR stateless model-checking engine
  * against the SMT verdicts;
  * disagreements are delta-debugged into minimal `.litmus` repro files.
- *
- *   gpumc-fuzz [--seed=N] [--runs=N] [--jobs=N] [--arch=ptx|vulkan|both]
- *              [--profile=basic|cf|full] [--bound=N] [--out-dir=DIR]
- *              [--inject=bound-gap] [--no-shrink] [--max-shrinks=N]
- *              [--timeout=MS] [--verify-determinism]
- *              [--session-reuse] [--clause-sharing] [--dpor]
+ * An unknown argument prints the flag list.
  *
  * The verdict log is deterministic for a fixed seed: identical across
  * runs and across --jobs values (every engine run is fanned out through
@@ -32,197 +27,97 @@
  */
 
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cat/model.hpp"
+#include "core/verifier.hpp"
 #include "fuzz/campaign.hpp"
-#include "support/string_utils.hpp"
-#include "support/thread_budget.hpp"
-#include "support/trace.hpp"
+#include "support/cli.hpp"
 
 using namespace gpumc;
 
 namespace {
 
+/** Bits of --arch. */
+constexpr int kPtx = 1;
+constexpr int kVulkan = 2;
+
 struct CliOptions {
-    uint64_t seed = 1;
-    int runs = 50;
-    unsigned jobs = 0;
-    std::string arch = "both"; // ptx | vulkan | both
-    std::string profile = "full";
-    int bound = 2;
-    std::string outDir;
-    bool injectBoundGap = false;
-    bool sessionReuse = false;
-    bool clauseSharing = false;
-    bool dpor = false;
-    bool shrink = true;
-    int maxShrinks = 3;
-    int shrinkAttempts = 400;
-    int64_t solverTimeoutMs = 0;
+    /** Every campaign option but the architecture and its model. */
+    fuzz::CampaignOptions campaign;
+    int arches = kPtx | kVulkan;
+    fuzz::FuzzConfig (*profile)(prog::Arch) = fuzz::FuzzConfig::full;
     bool verifyDeterminism = false;
-    std::string tracePath;
-    std::string metricsPath;
 };
 
-[[noreturn]] void
-usage()
-{
-    std::cerr
-        << "usage: gpumc-fuzz [options]\n"
-           "  --seed=N          campaign seed (default 1)\n"
-           "  --runs=N          cases per architecture (default 50)\n"
-           "  --jobs=N          worker threads (default: hardware "
-           "concurrency)\n"
-           "  --arch=A          ptx | vulkan | both (default both)\n"
-           "  --profile=P       basic (straight-line) | cf (+control "
-           "flow) | full (default)\n"
-           "  --bound=N         loop unroll bound k (default 2)\n"
-           "  --out-dir=DIR     write shrunken .litmus repros here\n"
-           "  --inject=bound-gap  run the z3 oracle at bound k-1 — a\n"
-           "                    deliberate fault to exercise shrinking\n"
-           "  --session-reuse   also cross-check every case's shared\n"
-           "                    checkAll() session against three fresh\n"
-           "                    sessions, on both backends\n"
-           "  --clause-sharing  also cross-check the builtin backend\n"
-           "                    with cube-scope clause sharing against\n"
-           "                    the sharing-off baseline\n"
-           "  --dpor            also cross-check every case through the\n"
-           "                    DPOR stateless model-checking engine\n"
-           "                    against the builtin SMT verdicts\n"
-           "  --no-shrink       report disagreements without shrinking\n"
-           "  --max-shrinks=N   disagreeing cases to shrink (default 3)\n"
-           "  --shrink-attempts=N  predicate budget per shrink "
-           "(default 400)\n"
-           "  --timeout=MS      solver budget per query (0 = none)\n"
-           "  --verify-determinism  run every campaign twice (1 worker "
-           "vs --jobs)\n"
-           "                    and fail unless the logs are identical\n"
-           "  --trace=FILE      Chrome trace-event JSON of the campaign\n"
-           "  --metrics=FILE    flat metrics JSON (counters + span "
-           "aggregates)\n";
-    std::exit(2);
-}
-
-/** cliInt (support/string_utils) partially applied to this tool. */
-int64_t
-cliInt(const std::string &flag, const std::string &value, int64_t min,
-       int64_t max)
-{
-    return gpumc::cliInt("gpumc-fuzz", flag, value, min, max);
-}
-
 CliOptions
-parseArgs(int argc, char **argv)
+parseArgs(cli::Parser &cli, int argc, char **argv)
 {
     CliOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--seed=")) {
-            opts.seed = static_cast<uint64_t>(
-                cliInt("--seed", arg.substr(7), 0, INT64_MAX));
-        } else if (startsWith(arg, "--runs=")) {
-            opts.runs = static_cast<int>(
-                cliInt("--runs", arg.substr(7), 1, 1000000));
-        } else if (startsWith(arg, "--jobs=")) {
-            opts.jobs = static_cast<unsigned>(
-                cliInt("--jobs", arg.substr(7), 1, 1024));
-        } else if (startsWith(arg, "--arch=")) {
-            opts.arch = arg.substr(7);
-            if (opts.arch != "ptx" && opts.arch != "vulkan" &&
-                opts.arch != "both") {
-                usage();
-            }
-        } else if (startsWith(arg, "--profile=")) {
-            opts.profile = arg.substr(10);
-            if (opts.profile != "basic" && opts.profile != "cf" &&
-                opts.profile != "full") {
-                usage();
-            }
-        } else if (startsWith(arg, "--bound=")) {
-            opts.bound = static_cast<int>(
-                cliInt("--bound", arg.substr(8), 1, 64));
-        } else if (startsWith(arg, "--out-dir=")) {
-            opts.outDir = arg.substr(10);
-            if (opts.outDir.empty())
-                usage();
-        } else if (arg == "--inject=bound-gap") {
-            opts.injectBoundGap = true;
-        } else if (arg == "--session-reuse") {
-            opts.sessionReuse = true;
-        } else if (arg == "--clause-sharing") {
-            opts.clauseSharing = true;
-        } else if (arg == "--dpor") {
-            opts.dpor = true;
-        } else if (arg == "--no-shrink") {
-            opts.shrink = false;
-        } else if (startsWith(arg, "--max-shrinks=")) {
-            opts.maxShrinks = static_cast<int>(
-                cliInt("--max-shrinks", arg.substr(14), 0, 1000));
-        } else if (startsWith(arg, "--shrink-attempts=")) {
-            opts.shrinkAttempts = static_cast<int>(
-                cliInt("--shrink-attempts", arg.substr(18), 1, 100000));
-        } else if (startsWith(arg, "--timeout=")) {
-            opts.solverTimeoutMs =
-                cliInt("--timeout", arg.substr(10), 0, INT64_MAX);
-        } else if (arg == "--verify-determinism") {
-            opts.verifyDeterminism = true;
-        } else if (startsWith(arg, "--trace=")) {
-            opts.tracePath = arg.substr(8);
-            if (opts.tracePath.empty())
-                usage();
-        } else if (startsWith(arg, "--metrics=")) {
-            opts.metricsPath = arg.substr(10);
-            if (opts.metricsPath.empty())
-                usage();
-        } else {
-            std::cerr << "gpumc-fuzz: unknown option '" << arg << "'\n";
-            usage();
+    fuzz::CampaignOptions &co = opts.campaign;
+    bool injectBoundGap = false;
+    bool noShrink = false;
+    cli.integer("seed", "N", "campaign seed (default: 1)", co.seed, 0,
+                INT64_MAX);
+    cli.integer("runs", "N", "cases per architecture (default: 50)",
+                co.runs, 1, 1000000);
+    cli.jobs(co.jobs);
+    cli.choice("arch", "architectures to fuzz (default: both)",
+               {{"ptx", kPtx}, {"vulkan", kVulkan}, {"both", kPtx | kVulkan}},
+               opts.arches);
+    cli.choice("profile",
+               "basic: straight-line; cf: plus control flow;\n"
+               "full: everything (default)",
+               {{"basic", &fuzz::FuzzConfig::basic},
+                {"cf", &fuzz::FuzzConfig::withControlFlow},
+                {"full", &fuzz::FuzzConfig::full}},
+               opts.profile);
+    core::addBoundFlag(cli, co.oracle.bound);
+    cli.text("out-dir", "DIR", "write shrunken .litmus repros here",
+             co.outDir);
+    cli.choice("inject",
+               "run the z3 oracle at bound k-1: a deliberate\n"
+               "fault to exercise shrinking",
+               {{"bound-gap", true}}, injectBoundGap);
+    cli.flag("session-reuse",
+             "also cross-check every case's shared checkAll()\n"
+             "session against three fresh sessions, on both\n"
+             "backends",
+             co.oracle.sessionReuse);
+    cli.flag("clause-sharing",
+             "also cross-check the builtin backend with\n"
+             "cube-scope clause sharing against the\n"
+             "sharing-off baseline",
+             co.oracle.clauseSharing);
+    cli.flag("dpor",
+             "also cross-check every case through the DPOR\n"
+             "engine against the builtin SMT verdicts",
+             co.oracle.dpor);
+    cli.flag("no-shrink", "report disagreements without shrinking",
+             noShrink);
+    cli.integer("max-shrinks", "N",
+                "disagreeing cases to shrink (default: 3)",
+                co.maxShrinks, 0, 1000);
+    cli.integer("shrink-attempts", "N",
+                "predicate budget per shrink (default: 400)",
+                co.shrinkAttempts, 1, 100000);
+    core::addTimeoutFlag(cli, co.oracle.solverTimeoutMs);
+    cli.flag("verify-determinism",
+             "run every campaign twice (1 worker vs --jobs)\n"
+             "and fail unless the logs are identical",
+             opts.verifyDeterminism);
+    cli.traceOutputs();
+    cli.parse(argc, argv);
+    co.shrink = !noShrink;
+    if (injectBoundGap) {
+        if (co.oracle.bound < 2) {
+            std::cerr << "gpumc-fuzz: --inject=bound-gap needs --bound>=2\n";
+            std::exit(2);
         }
-    }
-    if (opts.injectBoundGap && opts.bound < 2) {
-        std::cerr << "gpumc-fuzz: --inject=bound-gap needs --bound>=2\n";
-        std::exit(2);
+        co.oracle.z3Bound = co.oracle.bound - 1;
     }
     return opts;
-}
-
-fuzz::FuzzConfig
-profileConfig(const std::string &profile, prog::Arch arch)
-{
-    if (profile == "basic")
-        return fuzz::FuzzConfig::basic(arch);
-    if (profile == "cf")
-        return fuzz::FuzzConfig::withControlFlow(arch);
-    return fuzz::FuzzConfig::full(arch);
-}
-
-fuzz::CampaignOptions
-campaignOptions(const CliOptions &opts, prog::Arch arch,
-                const cat::CatModel &model,
-                const std::string &modelName)
-{
-    fuzz::CampaignOptions co;
-    co.config = profileConfig(opts.profile, arch);
-    co.model = &model;
-    co.modelName = modelName;
-    co.seed = opts.seed;
-    co.runs = opts.runs;
-    co.jobs = opts.jobs;
-    co.oracle.bound = opts.bound;
-    if (opts.injectBoundGap)
-        co.oracle.z3Bound = opts.bound - 1;
-    co.oracle.sessionReuse = opts.sessionReuse;
-    co.oracle.clauseSharing = opts.clauseSharing;
-    co.oracle.dpor = opts.dpor;
-    co.oracle.solverTimeoutMs = opts.solverTimeoutMs;
-    co.shrink = opts.shrink;
-    co.maxShrinks = opts.maxShrinks;
-    co.shrinkAttempts = opts.shrinkAttempts;
-    co.outDir = opts.outDir;
-    return co;
 }
 
 } // namespace
@@ -230,11 +125,8 @@ campaignOptions(const CliOptions &opts, prog::Arch arch,
 int
 main(int argc, char **argv)
 {
-    CliOptions opts = parseArgs(argc, argv);
-    trace::enableFromCli(opts.tracePath, opts.metricsPath);
-    // --jobs caps total concurrency across campaign workers and any
-    // cube solvers the oracles spin up.
-    ThreadBudget::instance().setTotal(opts.jobs);
+    cli::Parser cli("gpumc-fuzz", {});
+    CliOptions opts = parseArgs(cli, argc, argv);
 
     cat::CatModel ptx75 = cat::CatModel::fromFile(
         std::string(GPUMC_CAT_DIR) + "/ptx-v7.5.cat");
@@ -247,16 +139,18 @@ main(int argc, char **argv)
         const char *name;
     };
     std::vector<Target> targets;
-    if (opts.arch == "ptx" || opts.arch == "both")
+    if (opts.arches & kPtx)
         targets.push_back({prog::Arch::Ptx, &ptx75, "ptx-v7.5"});
-    if (opts.arch == "vulkan" || opts.arch == "both")
+    if (opts.arches & kVulkan)
         targets.push_back({prog::Arch::Vulkan, &vulkan, "vulkan"});
 
     bool clean = true;
     bool deterministic = true;
     for (const Target &target : targets) {
-        fuzz::CampaignOptions co = campaignOptions(
-            opts, target.arch, *target.model, target.name);
+        fuzz::CampaignOptions co = opts.campaign;
+        co.config = opts.profile(target.arch);
+        co.model = target.model;
+        co.modelName = target.name;
         fuzz::CampaignResult result = fuzz::runCampaign(co);
         std::cout << result.log;
         clean = clean && result.clean();
@@ -282,11 +176,5 @@ main(int argc, char **argv)
                                     : "determinism FAILED")
                   << "\n";
     }
-    int code = clean && deterministic ? 0 : 1;
-    if (!trace::flushCliOutputs(opts.tracePath, opts.metricsPath,
-                                std::cerr) &&
-        code == 0) {
-        code = 2;
-    }
-    return code;
+    return cli.finish(clean && deterministic ? 0 : 1);
 }

@@ -1,13 +1,8 @@
 /**
  * @file
  * gpumc command-line driver, mirroring the Dartagnan invocation of the
- * paper's artifact:
- *
- *   gpumc <test.litmus|test.spvasm> <model.cat>
- *         [--property=program_spec|cat_spec|liveness] [--all-properties]
- *         [--engine=smt|dpor|explicit] [--bound=N] [--timeout=MS]
- *         [--backend=z3|builtin] [--cube-depth=N] [--grid=X.Y]
- *         [--witness] [--dot=<out.dot>]
+ * paper's artifact: `gpumc <test.litmus|test.spvasm> <model.cat>
+ * [options]`. Run it without arguments for the flag list.
  *
  * --all-properties checks program_spec, liveness and cat_spec on one
  * shared session: under SMT the pipeline (unroll, analyses, structural
@@ -19,7 +14,6 @@
  * and 2 on a usage or input error.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -27,8 +21,8 @@
 #include "core/verifier.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "spirv/spirv_parser.hpp"
+#include "support/cli.hpp"
 #include "support/string_utils.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
@@ -42,118 +36,40 @@ struct CliOptions {
     core::VerifierOptions verifier;
     bool printWitness = false;
     std::string dotPath;
-    std::string tracePath;
-    std::string metricsPath;
     std::optional<spirv::Grid> grid;
 };
 
-[[noreturn]] void
-usage()
-{
-    std::cerr <<
-        "usage: gpumc <test.litmus|test.spvasm> <model.cat> [options]\n"
-        "  --property=program_spec|cat_spec|liveness  (default: "
-        "program_spec)\n"
-        "  --all-properties   check all three properties on one shared\n"
-        "                     incremental session\n"
-        "  --bound=N          loop unroll bound (default: 2)\n"
-        "  --timeout=MS       solver or exploration budget per check\n"
-        "                     (0 = unlimited)\n"
-        "  --backend=z3|builtin  SMT backend (default: builtin)\n"
-        "  --cube-depth=N     split builtin-solver queries into 2^N\n"
-        "                     cubes solved in parallel (default: 0, "
-        "off)\n"
-        "  --clause-share=off|cube\n"
-        "                     share learned clauses between the cube\n"
-        "                     solvers (default: off)\n"
-        "  --grid=X.Y         thread grid for SPIR-V kernels\n"
-        "  --witness          print the witness execution\n"
-        "  --dot=FILE         write the witness as a GraphViz graph\n"
-        "  --trace=FILE       write a Chrome trace-event JSON of the\n"
-        "                     pipeline (chrome://tracing, Perfetto)\n"
-        "  --metrics=FILE     write flat metrics JSON (counters + span\n"
-        "                     aggregates)\n"
-        "  --engine=smt|dpor|explicit\n"
-        "                     smt: bounded SMT encoding (default)\n"
-        "                     dpor: stateless model checking with\n"
-        "                     incremental graph construction\n"
-        "                     explicit: enumerate-everything baseline\n"
-        "                     dpor and explicit check straight-line\n"
-        "                     programs; liveness is unknown under them\n"
-        "exit: 0 holds, 1 fails, 2 usage or input error, 3 unknown\n";
-    std::exit(2);
-}
-
-/** cliInt (support/string_utils) partially applied to this tool. */
-int64_t
-cliInt(const std::string &key, const std::string &value, int64_t min,
-       int64_t max)
-{
-    return gpumc::cliInt("gpumc", "--" + key, value, min, max);
-}
-
 CliOptions
-parseArgs(int argc, char **argv)
+parseArgs(cli::Parser &cli, int argc, char **argv)
 {
     CliOptions opts;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (!startsWith(arg, "--")) {
-            positional.push_back(arg);
-            continue;
-        }
-        auto eq = arg.find('=');
-        std::string key = arg.substr(2, eq - 2);
-        std::string value =
-            eq == std::string::npos ? "" : arg.substr(eq + 1);
-        if (core::parseVerifierFlag("gpumc", key, value, opts.verifier,
-                                    usage))
-            continue;
-        if (key == "property") {
-            if (value == "program_spec") {
-                opts.property = core::Property::Safety;
-            } else if (value == "cat_spec") {
-                opts.property = core::Property::CatSpec;
-            } else if (value == "liveness") {
-                opts.property = core::Property::Liveness;
-            } else {
-                usage();
-            }
-        } else if (key == "all-properties") {
-            opts.allProperties = true;
-        } else if (key == "grid") {
-            auto parts = split(value, '.');
-            if (parts.size() != 2)
-                usage();
-            spirv::Grid grid;
-            grid.threadsPerWorkgroup =
-                static_cast<int>(cliInt(key, parts[0], 1, 4096));
-            grid.workgroups =
-                static_cast<int>(cliInt(key, parts[1], 1, 4096));
-            opts.grid = grid;
-        } else if (key == "witness") {
-            opts.printWitness = true;
-        } else if (key == "dot") {
-            if (value.empty())
-                usage();
-            opts.dotPath = value;
-        } else if (key == "trace") {
-            if (value.empty())
-                usage();
-            opts.tracePath = value;
-        } else if (key == "metrics") {
-            if (value.empty())
-                usage();
-            opts.metricsPath = value;
-        } else {
-            usage();
-        }
-    }
-    if (positional.size() != 2)
-        usage();
+    std::string grid;
+    cli.choice("property", "property to check (default: program_spec)",
+               {{"program_spec", core::Property::Safety},
+                {"cat_spec", core::Property::CatSpec},
+                {"liveness", core::Property::Liveness}},
+               opts.property);
+    cli.flag("all-properties",
+             "check all three properties on one shared\n"
+             "incremental session",
+             opts.allProperties);
+    core::addVerifierFlags(cli, opts.verifier);
+    cli.text("grid", "X.Y", "thread grid for SPIR-V kernels", grid);
+    cli.flag("witness", "print the witness execution", opts.printWitness);
+    cli.text("dot", "FILE", "write the witness as a GraphViz graph",
+             opts.dotPath);
+    cli.traceOutputs();
+    std::vector<std::string> positional = cli.parse(argc, argv);
     opts.inputPath = positional[0];
     opts.modelPath = positional[1];
+    if (!grid.empty()) {
+        std::vector<std::string> parts = split(grid, '.');
+        if (parts.size() != 2)
+            cli.fail("--grid expects X.Y");
+        opts.grid = spirv::Grid{
+            static_cast<int>(cliInt("gpumc", "--grid", parts[0], 1, 4096)),
+            static_cast<int>(cliInt("gpumc", "--grid", parts[1], 1, 4096))};
+    }
     return opts;
 }
 
@@ -301,16 +217,11 @@ runTool(const CliOptions &opts)
 int
 main(int argc, char **argv)
 {
+    cli::Parser cli("gpumc", {"<test.litmus|test.spvasm>", "<model.cat>"},
+                    "exit: 0 holds, 1 fails, 2 usage or input error, "
+                    "3 unknown\n");
     try {
-        CliOptions opts = parseArgs(argc, argv);
-        trace::enableFromCli(opts.tracePath, opts.metricsPath);
-        int code = runTool(opts);
-        if (!trace::flushCliOutputs(opts.tracePath, opts.metricsPath,
-                                    std::cerr) &&
-            code == 0) {
-            code = 2;
-        }
-        return code;
+        return cli.finish(runTool(parseArgs(cli, argc, argv)));
     } catch (const gpumc::FatalError &error) {
         std::cerr << "error: " << error.what() << "\n";
         return 2;
