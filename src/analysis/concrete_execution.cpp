@@ -21,6 +21,16 @@ ConcreteView::baseRel(const std::string &name) const
     return it->second;
 }
 
+void
+ConcreteContext::set(const std::string &name, PairSet value)
+{
+    PairSet &current = view_.rel(name);
+    if (current == value)
+        return;
+    current = std::move(value);
+    evaluator_.invalidate(name);
+}
+
 bool
 condUsesMemory(const prog::Cond &cond)
 {
@@ -227,7 +237,7 @@ ValueSimulation::simulatePass(bool &changed)
         }
         for (const auto &[reg, v] : env) {
             if (v) {
-                finalRegs_[program_->threads[t].name + ":" + reg] = *v;
+                finalRegs_[{t, reg}] = *v;
             }
         }
     }
@@ -241,9 +251,7 @@ ValueSimulation::evalTerm(const prog::CondTerm &term,
       case prog::CondTerm::Kind::Const:
         return term.value;
       case prog::CondTerm::Kind::Reg: {
-        std::string key =
-            "P" + std::to_string(term.thread) + ":" + term.name;
-        auto it = finalRegs_.find(key);
+        auto it = finalRegs_.find({term.thread, term.name});
         return it == finalRegs_.end() ? 0 : it->second;
       }
       case prog::CondTerm::Kind::Mem: {
@@ -271,8 +279,7 @@ ValueSimulation::evalTerm(const prog::CondTerm &term,
 }
 
 std::map<std::string, PairSet>
-concreteStaticRels(RelationAnalysis &ra,
-                   const std::map<int, int64_t> &barrierIds)
+concreteStaticRels(RelationAnalysis &ra)
 {
     std::map<std::string, PairSet> rels;
     for (const char *name :
@@ -280,7 +287,18 @@ concreteStaticRels(RelationAnalysis &ra,
           "ctrl", "rmw", "sr", "scta", "ssg", "swg", "sqf", "ssw"}) {
         rels[name] = ra.baseBounds(name).ub;
     }
-    // Barrier relations from the concrete runtime ids.
+    for (const char *name :
+         {"rf", "co", "sync_fence", "syncbar", "sync_barrier"}) {
+        rels[name] = PairSet();
+    }
+    return rels;
+}
+
+std::map<std::string, PairSet>
+concreteBarrierRels(RelationAnalysis &ra,
+                    const std::map<int, int64_t> &barrierIds)
+{
+    std::map<std::string, PairSet> rels;
     for (const char *name : {"syncbar", "sync_barrier"}) {
         PairSet out;
         for (auto [a, b] : ra.baseBounds(name).ub.pairs()) {

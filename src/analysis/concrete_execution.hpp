@@ -3,9 +3,10 @@
  * Shared machinery for engines that evaluate `.cat` models over
  * *concrete* executions (explicit enumeration in `src/explicit`, DPOR
  * exploration in `src/dpor`): an ExecutionView backed by materialized
- * base relations, the straight-line value simulator that resolves
- * register/memory values under one rf assignment, and the static base
- * relations derived from RelationAnalysis bounds.
+ * base relations and the evaluator context an exploration keeps over
+ * it, the straight-line value simulator that resolves register/memory
+ * values under one rf assignment, and the static base relations derived
+ * from RelationAnalysis bounds.
  */
 
 #ifndef GPUMC_ANALYSIS_CONCRETE_EXECUTION_HPP
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/relation_analysis.hpp"
@@ -32,8 +34,8 @@ constexpr int64_t kConcreteValueMask = (1 << kConcreteValueBits) - 1;
 /**
  * ExecutionView over one concrete (possibly partial) behaviour: every
  * event of the unrolled program executes, and base relations are
- * materialized PairSets. Engines that grow relations incrementally can
- * mutate them in place through rel().
+ * materialized PairSets. ConcreteContext replaces them between checks
+ * through rel().
  */
 class ConcreteView : public cat::ExecutionView {
   public:
@@ -52,12 +54,40 @@ class ConcreteView : public cat::ExecutionView {
 
     const cat::PairSet &baseRel(const std::string &name) const override;
 
-    /** Mutable access for incremental engines. */
+    /** Mutable access; the evaluators reading this view must be told
+     *  (RelationEvaluator::invalidate) about every change. */
     cat::PairSet &rel(const std::string &name) { return rels_[name]; }
 
   private:
     const prog::UnrolledProgram *up_;
     std::map<std::string, cat::PairSet> rels_;
+};
+
+/**
+ * A ConcreteView and one RelationEvaluator over it, kept for a whole
+ * exploration. The events and tags never change; set() replaces one
+ * base relation and drops the memoized lets that read it, so a
+ * consistency check re-evaluates only what its changed relations feed.
+ */
+class ConcreteContext {
+  public:
+    ConcreteContext(const prog::UnrolledProgram &up,
+                    const cat::CatModel &model,
+                    std::map<std::string, cat::PairSet> rels)
+        : view_(up, std::move(rels)), evaluator_(model, view_)
+    {
+    }
+    ConcreteContext(const ConcreteContext &) = delete;
+    ConcreteContext &operator=(const ConcreteContext &) = delete;
+
+    /** Replace base relation @p name by @p value (no-op when equal). */
+    void set(const std::string &name, cat::PairSet value);
+
+    cat::RelationEvaluator &evaluator() { return evaluator_; }
+
+  private:
+    ConcreteView view_;
+    cat::RelationEvaluator evaluator_;
 };
 
 /** Does a final-state condition mention memory-valued terms? */
@@ -134,12 +164,6 @@ class ValueSimulation {
         return barrierIds_;
     }
 
-    /** "P0:r1" -> final register value. */
-    const std::map<std::string, int64_t> &finalRegs() const
-    {
-        return finalRegs_;
-    }
-
     /**
      * Evaluate one final-state condition term. Mem terms read the
      * co-maximal executed write of the location under @p co.
@@ -160,19 +184,24 @@ class ValueSimulation {
 
     std::map<int, int64_t> values_;
     std::map<int, int64_t> barrierIds_;
-    std::map<std::string, int64_t> finalRegs_;
+    /** (thread index, register) -> final value. */
+    std::map<std::pair<int, std::string>, int64_t> finalRegs_;
 };
 
 /**
- * The base relations that are fixed for a straight-line program once
- * values are simulated: the analysis upper bounds of the static
- * relations plus the barrier relations filtered down to pairs with
- * equal runtime barrier ids. rf / co / sync_fence are left for the
- * caller to fill in.
+ * The base relations of a straight-line program before any choice: the
+ * analysis upper bounds of the static relations, and empty rf, co,
+ * sync_fence, syncbar and sync_barrier.
+ */
+std::map<std::string, cat::PairSet> concreteStaticRels(RelationAnalysis &ra);
+
+/**
+ * syncbar and sync_barrier once values are simulated: their analysis
+ * upper bounds filtered down to pairs with equal runtime barrier ids.
  */
 std::map<std::string, cat::PairSet>
-concreteStaticRels(RelationAnalysis &ra,
-                   const std::map<int, int64_t> &barrierIds);
+concreteBarrierRels(RelationAnalysis &ra,
+                    const std::map<int, int64_t> &barrierIds);
 
 /** Non-init write events per physical location. */
 std::map<int, std::vector<int>>

@@ -1,73 +1,135 @@
 #include "cat/evaluator.hpp"
 
+#include <numeric>
+#include <set>
+
 namespace gpumc::cat {
+
+namespace {
+
+/** The base relations @p e reads, looking through let references. */
+void
+collectReads(const Expr &e,
+             const std::vector<std::set<std::string>> &letReads,
+             std::set<std::string> &out)
+{
+    if (e.kind == ExprKind::Name) {
+        if (e.resolution == NameRes::LetRef) {
+            const std::set<std::string> &viaLet = letReads[e.letIndex];
+            out.insert(viaLet.begin(), viaLet.end());
+        } else if (e.resolution == NameRes::BaseRel) {
+            out.insert(e.name);
+        }
+        return;
+    }
+    if (e.lhs)
+        collectReads(*e.lhs, letReads, out);
+    if (e.rhs)
+        collectReads(*e.rhs, letReads, out);
+}
+
+/** @p value as an owned object, moved out of @p scratch if it is there. */
+template <typename T>
+T
+take(const T &value, T &scratch)
+{
+    if (&value == &scratch)
+        return std::move(scratch);
+    return value;
+}
+
+} // namespace
 
 RelationEvaluator::RelationEvaluator(const CatModel &model,
                                      const ExecutionView &exec)
-    : model_(model), exec_(exec)
+    : model_(model), exec_(exec), allEvents_(exec.numEvents()),
+      letRel_(model.lets().size()), letSet_(model.lets().size())
 {
+    std::iota(allEvents_.begin(), allEvents_.end(), 0);
+    // A let only names earlier lets, so one pass in order suffices.
+    std::vector<std::set<std::string>> letReads(model.lets().size());
+    for (size_t i = 0; i < letReads.size(); ++i) {
+        collectReads(*model.lets()[i].expr, letReads, letReads[i]);
+        for (const std::string &name : letReads[i])
+            readers_[name].push_back(static_cast<int>(i));
+    }
 }
 
-std::vector<int>
-RelationEvaluator::allEvents() const
+void
+RelationEvaluator::invalidate(const std::string &name)
 {
-    std::vector<int> out(exec_.numEvents());
-    for (int i = 0; i < exec_.numEvents(); ++i)
-        out[i] = i;
-    return out;
+    auto it = readers_.find(name);
+    if (it == readers_.end())
+        return;
+    for (int index : it->second) {
+        letRel_[index].reset();
+        letSet_[index].reset();
+    }
 }
 
 const PairSet &
 RelationEvaluator::letValue(int index)
 {
-    auto it = letRelCache_.find(index);
-    if (it != letRelCache_.end())
-        return it->second;
-    const LetBinding &binding = model_.lets()[index];
-    GPUMC_ASSERT(binding.expr->type == ExprType::Rel,
-                 "letValue on a set binding");
-    PairSet value = evalRel(*binding.expr);
-    return letRelCache_.emplace(index, std::move(value)).first->second;
+    std::optional<PairSet> &slot = letRel_[index];
+    if (!slot) {
+        const LetBinding &binding = model_.lets()[index];
+        GPUMC_ASSERT(binding.expr->type == ExprType::Rel,
+                     "letValue on a set binding");
+        PairSet scratch;
+        slot = take(relRef(*binding.expr, scratch), scratch);
+    }
+    return *slot;
 }
 
 std::vector<bool>
 RelationEvaluator::evalSet(const Expr &e)
+{
+    std::vector<bool> scratch;
+    return take(setRef(e, scratch), scratch);
+}
+
+const std::vector<bool> &
+RelationEvaluator::setRef(const Expr &e, std::vector<bool> &scratch)
 {
     GPUMC_ASSERT(e.type == ExprType::Set);
     int n = exec_.numEvents();
     switch (e.kind) {
       case ExprKind::Name: {
         if (e.resolution == NameRes::LetRef) {
-            auto it = letSetCache_.find(e.letIndex);
-            if (it != letSetCache_.end())
-                return it->second;
-            std::vector<bool> value =
-                evalSet(*model_.lets()[e.letIndex].expr);
-            letSetCache_.emplace(e.letIndex, value);
-            return value;
+            std::optional<std::vector<bool>> &slot = letSet_[e.letIndex];
+            if (!slot) {
+                std::vector<bool> inner;
+                slot = take(setRef(*model_.lets()[e.letIndex].expr, inner),
+                            inner);
+            }
+            return *slot;
         }
-        std::vector<bool> out(n, false);
-        for (int i = 0; i < n; ++i)
-            out[i] = exec_.inSet(i, e.name);
-        return out;
+        auto it = tagSets_.find(e.name);
+        if (it == tagSets_.end()) {
+            std::vector<bool> members(n, false);
+            for (int i = 0; i < n; ++i)
+                members[i] = exec_.inSet(i, e.name);
+            it = tagSets_.emplace(e.name, std::move(members)).first;
+        }
+        return it->second;
       }
-      case ExprKind::Union: {
-        std::vector<bool> a = evalSet(*e.lhs), b = evalSet(*e.rhs);
-        for (int i = 0; i < n; ++i)
-            a[i] = a[i] || b[i];
-        return a;
-      }
-      case ExprKind::Inter: {
-        std::vector<bool> a = evalSet(*e.lhs), b = evalSet(*e.rhs);
-        for (int i = 0; i < n; ++i)
-            a[i] = a[i] && b[i];
-        return a;
-      }
+      case ExprKind::Union:
+      case ExprKind::Inter:
       case ExprKind::Diff: {
-        std::vector<bool> a = evalSet(*e.lhs), b = evalSet(*e.rhs);
-        for (int i = 0; i < n; ++i)
-            a[i] = a[i] && !b[i];
-        return a;
+        std::vector<bool> a, b;
+        const std::vector<bool> &lhs = setRef(*e.lhs, a);
+        const std::vector<bool> &rhs = setRef(*e.rhs, b);
+        std::vector<bool> out = lhs;
+        for (int i = 0; i < n; ++i) {
+            if (e.kind == ExprKind::Union)
+                out[i] = out[i] || rhs[i];
+            else if (e.kind == ExprKind::Inter)
+                out[i] = out[i] && rhs[i];
+            else
+                out[i] = out[i] && !rhs[i];
+        }
+        scratch = std::move(out);
+        return scratch;
       }
       default:
         GPUMC_PANIC("expression is not a set");
@@ -77,78 +139,105 @@ RelationEvaluator::evalSet(const Expr &e)
 PairSet
 RelationEvaluator::evalRel(const Expr &e)
 {
+    PairSet scratch;
+    return take(relRef(e, scratch), scratch);
+}
+
+const PairSet &
+RelationEvaluator::relRef(const Expr &e, PairSet &scratch)
+{
     GPUMC_ASSERT(e.type == ExprType::Rel);
+    PairSet a, b;
     switch (e.kind) {
       case ExprKind::Name: {
         if (e.resolution == NameRes::LetRef)
             return letValue(e.letIndex);
         return exec_.baseRel(e.name);
       }
-      case ExprKind::Union:
-        return evalRel(*e.lhs).unionWith(evalRel(*e.rhs));
+      case ExprKind::Union: {
+        const PairSet &lhs = relRef(*e.lhs, a);
+        const PairSet &rhs = relRef(*e.rhs, b);
+        scratch = take(lhs, a);
+        for (auto [x, y] : rhs.pairs())
+            scratch.add(x, y);
+        return scratch;
+      }
       case ExprKind::Inter:
-        return evalRel(*e.lhs).intersectWith(evalRel(*e.rhs));
+        scratch = relRef(*e.lhs, a).intersectWith(relRef(*e.rhs, b));
+        return scratch;
       case ExprKind::Diff:
-        return evalRel(*e.lhs).minus(evalRel(*e.rhs));
+        scratch = relRef(*e.lhs, a).minus(relRef(*e.rhs, b));
+        return scratch;
       case ExprKind::Seq:
-        return evalRel(*e.lhs).compose(evalRel(*e.rhs));
+        scratch = relRef(*e.lhs, a).compose(relRef(*e.rhs, b));
+        return scratch;
       case ExprKind::Cartesian: {
-        std::vector<bool> a = evalSet(*e.lhs), b = evalSet(*e.rhs);
+        std::vector<bool> sa, sb;
+        const std::vector<bool> &lhs = setRef(*e.lhs, sa);
+        const std::vector<bool> &rhs = setRef(*e.rhs, sb);
         PairSet out;
         for (int i = 0; i < exec_.numEvents(); ++i) {
-            if (!a[i])
+            if (!lhs[i])
                 continue;
             for (int j = 0; j < exec_.numEvents(); ++j) {
-                if (b[j])
+                if (rhs[j])
                     out.add(i, j);
             }
         }
-        return out;
+        scratch = std::move(out);
+        return scratch;
       }
       case ExprKind::Inverse:
-        return evalRel(*e.lhs).inverse();
+        scratch = relRef(*e.lhs, a).inverse();
+        return scratch;
       case ExprKind::TransClosure:
-        return evalRel(*e.lhs).transitiveClosure();
+        scratch = relRef(*e.lhs, a).transitiveClosure();
+        return scratch;
       case ExprKind::ReflTransClosure:
-        return evalRel(*e.lhs).transitiveClosure().withIdentity(allEvents());
+        scratch =
+            relRef(*e.lhs, a).transitiveClosure().withIdentity(allEvents_);
+        return scratch;
       case ExprKind::Optional:
-        return evalRel(*e.lhs).withIdentity(allEvents());
+        scratch = relRef(*e.lhs, a).withIdentity(allEvents_);
+        return scratch;
       case ExprKind::Bracket: {
-        std::vector<bool> set = evalSet(*e.lhs);
+        std::vector<bool> sa;
+        const std::vector<bool> &members = setRef(*e.lhs, sa);
         PairSet out;
         for (int i = 0; i < exec_.numEvents(); ++i) {
-            if (set[i])
+            if (members[i])
                 out.add(i, i);
         }
-        return out;
+        scratch = std::move(out);
+        return scratch;
       }
     }
     GPUMC_PANIC("unhandled expression kind");
 }
 
 bool
+RelationEvaluator::holds(const Axiom &ax)
+{
+    PairSet scratch;
+    const PairSet &value = relRef(*ax.expr, scratch);
+    switch (ax.kind) {
+      case AxiomKind::Empty:
+      case AxiomKind::FlagNonEmpty:
+        return value.empty();
+      case AxiomKind::Irreflexive:
+        return value.isIrreflexive();
+      case AxiomKind::Acyclic:
+        return value.isAcyclic();
+    }
+    GPUMC_PANIC("unhandled axiom kind");
+}
+
+bool
 RelationEvaluator::consistent()
 {
     for (const Axiom &ax : model_.axioms()) {
-        if (ax.kind == AxiomKind::FlagNonEmpty)
-            continue;
-        PairSet rel = evalRel(*ax.expr);
-        switch (ax.kind) {
-          case AxiomKind::Empty:
-            if (!rel.empty())
-                return false;
-            break;
-          case AxiomKind::Irreflexive:
-            if (!rel.isIrreflexive())
-                return false;
-            break;
-          case AxiomKind::Acyclic:
-            if (!rel.isAcyclic())
-                return false;
-            break;
-          case AxiomKind::FlagNonEmpty:
-            break;
-        }
+        if (ax.kind != AxiomKind::FlagNonEmpty && !holds(ax))
+            return false;
     }
     return true;
 }

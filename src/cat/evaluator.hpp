@@ -2,14 +2,15 @@
  * @file
  * Concrete fix-point evaluation of a `.cat` model over a materialized
  * execution (all events executed, base relations fully known). This is
- * the semantic ground truth used by the explicit-state baseline and for
- * cross-checking SMT witnesses.
+ * the semantic ground truth used by the explicit-state baseline, the
+ * DPOR engine and for cross-checking SMT witnesses.
  */
 
 #ifndef GPUMC_CAT_EVALUATOR_HPP
 #define GPUMC_CAT_EVALUATOR_HPP
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,14 @@ struct AxiomCheck {
     PairSet flagged;
 };
 
+/**
+ * Evaluates a model over one ExecutionView. Let bindings and base tag
+ * sets are memoized for the evaluator's lifetime; the view's events and
+ * tags must never change. An engine that checks many graphs over the
+ * same events keeps one evaluator, changes a base relation in the view
+ * between evaluations and calls invalidate() with its name: only the
+ * lets that read it are evaluated again.
+ */
 class RelationEvaluator {
   public:
     RelationEvaluator(const CatModel &model, const ExecutionView &exec);
@@ -56,6 +65,9 @@ class RelationEvaluator {
     /** Evaluate the let binding at @p index (memoized). */
     const PairSet &letValue(int index);
 
+    /** Does axiom @p ax hold (for a flag: is its relation empty)? */
+    bool holds(const Axiom &ax);
+
     /**
      * Check all non-flag axioms; returns true when the execution is
      * consistent with the model.
@@ -68,13 +80,29 @@ class RelationEvaluator {
      */
     std::vector<AxiomCheck> evalFlags();
 
+    /**
+     * Drop the memoized lets that read base relation @p name, directly
+     * or through other lets. Call it between evaluations, after the
+     * view's @p name changed; references letValue() returned for the
+     * dropped lets dangle.
+     */
+    void invalidate(const std::string &name);
+
   private:
-    std::vector<int> allEvents() const;
+    /** @p e's value: a memoized let or a base relation by reference,
+     *  anything else computed into @p scratch. */
+    const PairSet &relRef(const Expr &e, PairSet &scratch);
+    const std::vector<bool> &setRef(const Expr &e,
+                                    std::vector<bool> &scratch);
 
     const CatModel &model_;
     const ExecutionView &exec_;
-    std::map<int, PairSet> letRelCache_;
-    std::map<int, std::vector<bool>> letSetCache_;
+    std::vector<int> allEvents_;
+    /** Base relation -> the lets that read it, directly or not. */
+    std::map<std::string, std::vector<int>> readers_;
+    std::vector<std::optional<PairSet>> letRel_;
+    std::vector<std::optional<std::vector<bool>>> letSet_;
+    std::map<std::string, std::vector<bool>> tagSets_;
 };
 
 } // namespace gpumc::cat

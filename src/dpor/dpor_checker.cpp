@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analysis/concrete_execution.hpp"
@@ -49,16 +50,15 @@ struct DporChecker::Impl {
     std::vector<int> coChoice; // 0 unordered, 1 <, 2 >
 
     PairSet initCo;
-    PairSet emptyRel;
-    /** Static rels with *empty* barrier relations — the sound under-
-     *  approximation used before values are simulated. */
-    std::map<std::string, PairSet> preRfStatics;
 
-    // Per-rf-subtree state (valid between simulate() and the end of
-    // the subtree's exploration).
-    PairSet rfFull;
-    PairSet sfCurrent;
-    std::map<std::string, PairSet> statics;
+    /** The rf stage's graph: the static relations with *empty* barrier
+     *  relations (the sound under-approximation before values are
+     *  simulated), co = initCo, an empty sync_fence and the current rf
+     *  prefix. Kept for the whole run, like coStage. */
+    std::optional<analysis::ConcreteContext> rfStage;
+    /** The co stage's graph: the static relations, and the barrier
+     *  relations, rf and sync_fence of the current (rf, sf) subtree. */
+    std::optional<analysis::ConcreteContext> coStage;
     bool subtreeConsistent = false;
 
     // Stage-classified axioms (see monotone.hpp).
@@ -116,43 +116,22 @@ struct DporChecker::Impl {
 
     // ---- partial-graph consistency --------------------------------------
 
-    bool axiomViolated(cat::RelationEvaluator &ev, const cat::Axiom &ax)
-    {
-        PairSet v = ev.evalRel(*ax.expr);
-        switch (ax.kind) {
-          case cat::AxiomKind::Empty:
-            return !v.empty();
-          case cat::AxiomKind::Irreflexive:
-            return !v.isIrreflexive();
-          case cat::AxiomKind::Acyclic:
-            return !v.isAcyclic();
-          case cat::AxiomKind::FlagNonEmpty:
-            return false;
-        }
-        return false;
-    }
-
     /**
-     * Check a stage's monotone axioms on a partial graph. Every
-     * undecided relation is supplied as its decided-so-far subset, so
-     * any violation is final (see monotone.hpp).
+     * Set @p stage's relation @p name to @p value and check the stage's
+     * monotone axioms on the partial graph. Every undecided relation is
+     * supplied as its decided-so-far subset, so any violation is final
+     * (see monotone.hpp).
      */
     bool partialViolated(const std::vector<const cat::Axiom *> &axioms,
-                         const std::map<std::string, PairSet> &base,
-                         const PairSet &rf, const PairSet &co,
-                         const PairSet &sf)
+                         analysis::ConcreteContext &stage,
+                         const char *name, PairSet value)
     {
         if (axioms.empty())
             return false;
         result.consistencyChecks++;
-        std::map<std::string, PairSet> rels = base;
-        rels["rf"] = rf;
-        rels["co"] = co;
-        rels["sync_fence"] = sf;
-        analysis::ConcreteView view(up, std::move(rels));
-        cat::RelationEvaluator ev(model, view);
+        stage.set(name, std::move(value));
         for (const cat::Axiom *ax : axioms) {
-            if (axiomViolated(ev, *ax))
+            if (!stage.evaluator().holds(*ax))
                 return true;
         }
         return false;
@@ -174,12 +153,8 @@ struct DporChecker::Impl {
         if (overBudget())
             return Walk::Abort;
 
-        std::map<std::string, PairSet> rels = statics;
-        rels["rf"] = rfFull;
-        rels["co"] = co;
-        rels["sync_fence"] = sfCurrent;
-        analysis::ConcreteView view(up, std::move(rels));
-        cat::RelationEvaluator ev(model, view);
+        coStage->set("co", co);
+        cat::RelationEvaluator &ev = coStage->evaluator();
         result.consistencyChecks++;
         if (!ev.consistent())
             return Walk::Continue;
@@ -250,8 +225,8 @@ struct DporChecker::Impl {
         for (size_t pos = order.size() + 1; pos-- > 0;) {
             order.insert(order.begin() + static_cast<long>(pos), w);
             Walk walk = Walk::Continue;
-            if (partialViolated(coStageAxioms, statics, rfFull,
-                                coFromOrders(), sfCurrent)) {
+            if (partialViolated(coStageAxioms, *coStage, "co",
+                                coFromOrders())) {
                 result.prunedCoBranches++;
             } else {
                 walk = exploreTotalCo(locIdx, writeIdx + 1);
@@ -314,8 +289,7 @@ struct DporChecker::Impl {
             if (!prefixCanonical(closed, pairIdx + 1))
                 continue;
             Walk walk = Walk::Continue;
-            if (partialViolated(coStageAxioms, statics, rfFull, closed,
-                                sfCurrent)) {
+            if (partialViolated(coStageAxioms, *coStage, "co", closed)) {
                 result.prunedCoBranches++;
             } else {
                 walk = explorePartialCo(pairIdx + 1);
@@ -331,8 +305,7 @@ struct DporChecker::Impl {
         // Axioms that ignore co entirely (or are monotone in it) are
         // decided at the subtree root: a violation with co still empty
         // rules out every coherence completion under this (rf, sf).
-        if (partialViolated(coRootAxioms, statics, rfFull, initCo,
-                            sfCurrent)) {
+        if (partialViolated(coRootAxioms, *coStage, "co", initCo)) {
             result.prunedSubtrees++;
             return Walk::Continue;
         }
@@ -356,7 +329,7 @@ struct DporChecker::Impl {
                 fences.push_back(e);
         }
         if (fences.empty() || program.arch != prog::Arch::Ptx) {
-            sfCurrent = PairSet();
+            coStage->set("sync_fence", PairSet());
             return exploreCo();
         }
         const PairSet &ub = ra.baseBounds("sync_fence").ub;
@@ -381,7 +354,7 @@ struct DporChecker::Impl {
                 result.sfDeduped++;
                 continue;
             }
-            sfCurrent = std::move(sf);
+            coStage->set("sync_fence", std::move(sf));
             Walk walk = exploreCo();
             if (walk != Walk::Continue)
                 return walk;
@@ -395,8 +368,11 @@ struct DporChecker::Impl {
     {
         if (!sim.simulate(reads, rfChoice))
             return Walk::Continue; // value-inconsistent rf choice
-        rfFull = rfPrefix(reads.size());
-        statics = analysis::concreteStaticRels(ra, sim.barrierIds());
+        coStage->set("rf", rfPrefix(reads.size()));
+        for (auto &[name, rel] :
+             analysis::concreteBarrierRels(ra, sim.barrierIds())) {
+            coStage->set(name, std::move(rel));
+        }
         subtreeConsistent = false;
 
         // A register-only filter is decided by rf alone: failing it
@@ -426,10 +402,8 @@ struct DporChecker::Impl {
         for (int w : candidates[readIndex]) {
             rfChoice[readIndex] = w;
             result.rfBranches++;
-            if (!rfStageAxioms.empty() &&
-                partialViolated(rfStageAxioms, preRfStatics,
-                                rfPrefix(readIndex + 1), initCo,
-                                emptyRel)) {
+            if (partialViolated(rfStageAxioms, *rfStage, "rf",
+                                rfPrefix(readIndex + 1))) {
                 result.prunedRfPrefixes++;
                 continue;
             }
@@ -537,8 +511,9 @@ struct DporChecker::Impl {
         }
         orders.resize(locWrites.size());
         initCo = analysis::concreteInitCoEdges(up);
-        preRfStatics =
-            analysis::concreteStaticRels(ra, /*barrierIds=*/{});
+        rfStage.emplace(up, model, analysis::concreteStaticRels(ra));
+        rfStage->set("co", initCo);
+        coStage.emplace(up, model, analysis::concreteStaticRels(ra));
 
         exploreRf(0);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analysis/concrete_execution.hpp"
@@ -30,6 +31,8 @@ struct ExplicitChecker::Impl {
     std::vector<int> reads;                    // read event ids
     std::vector<std::vector<int>> candidates;  // rf candidates per read
     std::vector<int> rfChoice;                 // current assignment
+    /** The current candidate's graph, kept for the whole run. */
+    std::optional<analysis::ConcreteContext> graph;
 
     Stopwatch watch;
     ExplicitResult result;
@@ -208,17 +211,9 @@ struct ExplicitChecker::Impl {
         if (overBudget())
             return false;
 
-        std::map<std::string, PairSet> rels =
-            analysis::concreteStaticRels(ra, sim.barrierIds());
-        PairSet rf;
-        for (size_t i = 0; i < reads.size(); ++i)
-            rf.add(rfChoice[i], reads[i]);
-        rels["rf"] = std::move(rf);
-        rels["co"] = co;
-        rels["sync_fence"] = sf;
-
-        analysis::ConcreteView view(up, std::move(rels));
-        cat::RelationEvaluator evaluator(model, view);
+        graph->set("co", co);
+        graph->set("sync_fence", sf);
+        cat::RelationEvaluator &evaluator = graph->evaluator();
         if (!evaluator.consistent())
             return true;
 
@@ -251,6 +246,14 @@ struct ExplicitChecker::Impl {
         if (readIndex == reads.size()) {
             if (!sim.simulate(reads, rfChoice))
                 return true; // value-inconsistent rf choice: skip
+            PairSet rf;
+            for (size_t i = 0; i < reads.size(); ++i)
+                rf.add(rfChoice[i], reads[i]);
+            graph->set("rf", std::move(rf));
+            for (auto &[name, rel] :
+                 analysis::concreteBarrierRels(ra, sim.barrierIds())) {
+                graph->set(name, std::move(rel));
+            }
             auto withCo = [&](const PairSet &co) {
                 return enumerateSyncFence([&](const PairSet &sf) {
                     return evaluateBehaviour(co, sf);
@@ -290,6 +293,7 @@ struct ExplicitChecker::Impl {
             }
         }
         rfChoice.assign(reads.size(), -1);
+        graph.emplace(up, model, analysis::concreteStaticRels(ra));
 
         enumerateRf(0);
 

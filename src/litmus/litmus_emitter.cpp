@@ -273,9 +273,8 @@ emitLitmus(const Program &program)
     std::vector<size_t> width(program.threads.size());
     for (size_t t = 0; t < program.threads.size(); ++t) {
         const prog::Thread &thread = program.threads[t];
-        std::string header =
-            thread.name.empty() ? "P" + std::to_string(t) : thread.name;
-        header += "@";
+        // Conditions name threads by index: column t is always P<t>.
+        std::string header = "P" + std::to_string(t) + "@";
         if (program.arch == Arch::Ptx) {
             header += "cta " + std::to_string(thread.placement.cta) +
                       ",gpu " + std::to_string(thread.placement.gpu);

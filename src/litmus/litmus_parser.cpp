@@ -274,8 +274,10 @@ class StructParser {
         // Header row.
         std::string headerRow = takeUntil(';');
         std::vector<std::string> headers = split(headerRow, '|');
-        for (const std::string &h : headers)
-            program.threads.push_back(parseThreadHeader(trim(h)));
+        for (const std::string &h : headers) {
+            program.threads.push_back(
+                parseThreadHeader(trim(h), program.threads.size()));
+        }
 
         // Instruction rows until a condition keyword.
         while (!atEnd() && !nextIsConditionKeyword()) {
@@ -293,14 +295,16 @@ class StructParser {
         }
     }
 
-    Thread parseThreadHeader(std::string_view header)
+    /** Conditions name a thread by its column (`P1:r0` is column 1),
+     *  so column @p index must be headed `P<index>`. */
+    Thread parseThreadHeader(std::string_view header, size_t index)
     {
         Thread thread;
         size_t at = header.find('@');
         thread.name = std::string(trim(header.substr(0, at)));
-        if (thread.name.empty() || thread.name[0] != 'P')
-            fatalAt(here(), "thread name must look like P0, got '",
-                    thread.name, "'");
+        if (thread.name != "P" + std::to_string(index))
+            fatalAt(here(), "thread column ", index, " must be named P",
+                    index, ", got '", thread.name, "'");
         if (at == std::string_view::npos)
             return thread;
         for (const std::string &itemRaw :

@@ -83,6 +83,26 @@ exists (true)
                  FatalError);
 }
 
+TEST(LitmusStructure, ThreadColumnsAreNamedByIndex)
+{
+    // Conditions read `P1:r0` as column 1, so a header naming column 0
+    // P1 would check a different thread than the one it shows.
+    EXPECT_THROW(parseLitmus(R"(
+PTX
+P1@cta 0,gpu 0 | P0@cta 1,gpu 0 ;
+st.weak x, 1   | ld.weak r0, y  ;
+exists (P1:r0 == 1)
+)"),
+                 FatalError);
+    EXPECT_THROW(parseLitmus(R"(
+PTX
+P0@cta 0,gpu 0 | P2@cta 1,gpu 0 ;
+st.weak x, 1   | ld.weak r0, x  ;
+exists (true)
+)"),
+                 FatalError);
+}
+
 TEST(ConditionParser, PrecedenceAndForms)
 {
     CondPtr c = parseCondition(
