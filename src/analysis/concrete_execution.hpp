@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared machinery for engines that evaluate `.cat` models over
- * *concrete* executions (explicit enumeration in `src/explicit`, DPOR
- * exploration in `src/dpor`): an ExecutionView backed by materialized
- * base relations and the evaluator context an exploration keeps over
- * it, the straight-line value simulator that resolves register/memory
+ * Machinery for evaluating `.cat` models over *concrete* executions, as
+ * the DPOR exploration in `src/dpor` does (pruned, or exhaustively as
+ * the explicit baseline): an ExecutionView backed by materialized base
+ * relations and the evaluator context an exploration keeps over it,
+ * the straight-line value simulator that resolves register/memory
  * values under one rf assignment, and the static base relations derived
  * from RelationAnalysis bounds.
  */
@@ -92,32 +92,6 @@ class ConcreteContext {
 
 /** Does a final-state condition mention memory-valued terms? */
 bool condUsesMemory(const prog::Cond &cond);
-
-/**
- * What one exploration of an enumerative engine reports. It answers
- * safety and DRF at once.
- */
-struct EnumerationResult {
-    /** False when the test uses features the engines cannot handle
-     *  (see enumerationUnsupportedReason). */
-    bool supported = true;
-    std::string unsupportedReason;
-
-    /** The candidate cap or the wall-clock budget ran out. */
-    bool timedOut = false;
-
-    /** Same semantics as Verifier safety: the quantified litmus
-     *  statement evaluated over all consistent behaviours. */
-    bool conditionHolds = false;
-
-    /** A consistent behaviour with a flagged (racy) pair exists. */
-    bool raceFound = false;
-
-    /** Complete executions evaluated. */
-    uint64_t candidatesExplored = 0;
-    uint64_t consistentBehaviours = 0;
-    double timeMs = 0.0;
-};
 
 /**
  * Why the enumerative engines cannot check @p program, or "" when they

@@ -1,9 +1,7 @@
 #include "core/verifier.hpp"
 
-#include "analysis/concrete_execution.hpp"
 #include "dpor/dpor_checker.hpp"
 #include "encoder/relation_encoder.hpp"
-#include "explicit/explicit_checker.hpp"
 #include "program/unroller.hpp"
 #include "support/cli.hpp"
 #include "support/trace.hpp"
@@ -97,21 +95,17 @@ judge(VerificationResult &result, prog::AssertKind assertKind, bool found)
     }
 }
 
-/** One exploration by the enumerative engine @p options picks. */
-analysis::EnumerationResult
+/** One exploration by the enumerative engine @p options picks: DPOR,
+ *  or the explicit baseline, which is DPOR with nothing pruned. */
+dpor::DporResult
 explore(const prog::Program &program, const cat::CatModel &model,
         const VerifierOptions &options)
 {
-    const double timeoutMs = static_cast<double>(options.solverTimeoutMs);
-    if (options.engine == Engine::Dpor) {
-        dpor::DporOptions budget;
-        budget.maxCandidates = options.maxCandidates;
-        budget.timeoutMs = timeoutMs;
-        return dpor::DporChecker(program, model, budget).run();
-    }
-    return expl::ExplicitChecker(program, model,
-                                 {options.maxCandidates, timeoutMs})
-        .run();
+    dpor::DporOptions budget;
+    budget.maxCandidates = options.maxCandidates;
+    budget.timeoutMs = static_cast<double>(options.solverTimeoutMs);
+    budget.exhaustive = options.engine == Engine::Explicit;
+    return dpor::DporChecker(program, model, budget).run();
 }
 
 } // namespace
@@ -588,10 +582,10 @@ Verifier::runEnumerative(Property property)
         // ran out of budget is re-run under this check's own budget.
         const bool explores = !explored_ || explored_->timedOut;
         if (explores) {
-            explored_ = std::make_unique<analysis::EnumerationResult>(
+            explored_ = std::make_unique<dpor::DporResult>(
                 explore(program_, model_, options_));
         }
-        const analysis::EnumerationResult &r = *explored_;
+        const dpor::DporResult &r = *explored_;
         result.stats.set("sessionsBuilt", explores ? 1 : 0);
         result.stats.set("sessionsReused", explores ? 0 : 1);
         result.stats.set(

@@ -34,9 +34,9 @@
 #include "smt/backend.hpp"
 #include "support/stats.hpp"
 
-namespace gpumc::analysis {
-struct EnumerationResult;
-} // namespace gpumc::analysis
+namespace gpumc::dpor {
+struct DporResult;
+} // namespace gpumc::dpor
 
 namespace gpumc::cli {
 class Parser;
@@ -48,10 +48,10 @@ enum class Property { Safety, Liveness, CatSpec };
 
 /**
  * Smt: the bounded SMT encoding; it answers every property. Dpor
- * (src/dpor) and Explicit (src/explicit, the Alloy stand-in) enumerate
- * the executions of straight-line programs. They answer Safety and
- * CatSpec and report Liveness, and programs outside their fragment,
- * as unknown with a reason.
+ * (src/dpor) and Explicit (the same exploration with nothing pruned,
+ * the Alloy stand-in) enumerate the executions of straight-line
+ * programs. They answer Safety and CatSpec and report Liveness, and
+ * programs outside their fragment, as unknown with a reason.
  */
 enum class Engine { Smt, Dpor, Explicit };
 
@@ -197,7 +197,7 @@ class Verifier {
     VerifierOptions options_;
     std::unique_ptr<Session> session_;
     /** The enumerative engines' last exploration. */
-    std::unique_ptr<analysis::EnumerationResult> explored_;
+    std::unique_ptr<dpor::DporResult> explored_;
 };
 
 /** Declare `--bound=N` on @p cli, in [prog::kMinBound, prog::kMaxBound]. */

@@ -59,15 +59,16 @@ struct DporChecker::Impl {
     /** The co stage's graph: the static relations, and the barrier
      *  relations, rf and sync_fence of the current (rf, sf) subtree. */
     std::optional<analysis::ConcreteContext> coStage;
-    bool subtreeConsistent = false;
 
-    // Stage-classified axioms (see monotone.hpp).
+    // Stage-classified axioms (see monotone.hpp); all empty when
+    // exhaustive, so no partial graph is checked.
     std::vector<const cat::Axiom *> rfStageAxioms;
     std::vector<const cat::Axiom *> coRootAxioms;
     std::vector<const cat::Axiom *> coStageAxioms;
 
     bool flagged = false;
-    bool condRfDetermined = false; ///< assertion+filter register-only
+    bool condRfDetermined = false; ///< assertion+filter register-only,
+                                   ///< never set when exhaustive
     bool flagsCoConstant = false;  ///< flags ignore co and sync_fence
 
     Stopwatch watch;
@@ -105,9 +106,12 @@ struct DporChecker::Impl {
 
     // ---- verdict bookkeeping --------------------------------------------
 
-    /** Everything the result reports is already determined. */
+    /** Everything the result reports is already determined (never when
+     *  exhaustive: that run walks every candidate). */
     bool done() const
     {
+        if (opts.exhaustive)
+            return false;
         bool condSettled = program.assertKind == prog::AssertKind::Forall
             ? condFalseSomewhere
             : condTrueSomewhere;
@@ -167,7 +171,6 @@ struct DporChecker::Impl {
             return Walk::Continue;
         }
         result.consistentBehaviours++;
-        subtreeConsistent = true;
 
         bool cond = !program.assertion ||
                     prog::evalCond(*program.assertion, valuation);
@@ -373,7 +376,6 @@ struct DporChecker::Impl {
              analysis::concreteBarrierRels(ra, sim.barrierIds())) {
             coStage->set(name, std::move(rel));
         }
-        subtreeConsistent = false;
 
         // A register-only filter is decided by rf alone: failing it
         // kills every behaviour of this subtree.
@@ -477,12 +479,14 @@ struct DporChecker::Impl {
         }
 
         flagged = model.hasFlaggedAxioms();
-        condRfDetermined =
-            (!program.assertion ||
-             !analysis::condUsesMemory(*program.assertion)) &&
-            (!program.filter ||
-             !analysis::condUsesMemory(*program.filter));
-        classifyAxioms();
+        if (!opts.exhaustive) {
+            condRfDetermined =
+                (!program.assertion ||
+                 !analysis::condUsesMemory(*program.assertion)) &&
+                (!program.filter ||
+                 !analysis::condUsesMemory(*program.filter));
+            classifyAxioms();
+        }
 
         for (int e = up.numInitEvents; e < up.numEvents(); ++e) {
             if (up.events[e].kind == EventKind::Read)
@@ -520,7 +524,8 @@ struct DporChecker::Impl {
         result.conditionHolds = analysis::quantifiedConditionHolds(
             program.assertKind, condTrueSomewhere, condFalseSomewhere);
         result.timeMs = watch.elapsedMs();
-        publishCounters();
+        if (!opts.exhaustive)
+            publishCounters();
         return result;
     }
 };

@@ -1,9 +1,10 @@
 /**
  * @file
- * DPOR-style stateless model checking engine — the repo's third
- * verification engine next to SMT (`src/smt` + `src/encoder`) and the
- * enumerate-everything explicit baseline (`src/explicit`), after the
- * GPUMC approach (PAPERS.md, arXiv 2505.20207).
+ * DPOR-style stateless model checking engine — the repo's enumerative
+ * engine next to SMT (`src/smt` + `src/encoder`), after the GPUMC
+ * approach (PAPERS.md, arXiv 2505.20207). With nothing pruned
+ * (DporOptions::exhaustive) it is also the Alloy-style explicit
+ * baseline of the paper's Table 5 and Fig. 15 (`--engine=explicit`).
  *
  * Instead of materializing every rf / coherence / SC-fence assignment
  * up front, the engine grows one execution graph incrementally:
@@ -12,31 +13,30 @@
  *    relation analysis upper bound. po-later writes are legal sources
  *    ("promised" edges — the duplicate-free form of GenMC revisits for
  *    straight-line programs, whose event set is execution-independent).
- *  - Writes are then inserted into the coherence order one at a time
- *    (total order per location under Vulkan, three-way per-pair
- *    choices with incremental antisymmetry/canonicity under PTX), and
- *    PTX SC fences into the sync_fence order (deduplicated).
+ *  - PTX SC fences are then ordered into sync_fence (deduplicated), and
+ *    writes are inserted into the coherence order one at a time (total
+ *    order per location under Vulkan, three-way per-pair choices with
+ *    incremental antisymmetry/canonicity under PTX).
  *
  * After every decision the partial graph is checked against the subset
  * of model axioms that are *monotone* in the still-undecided relations
  * (see monotone.hpp): a violation on the partial graph persists in all
  * completions, so the whole subtree is pruned. Complete graphs are
- * checked exactly through the same cat::RelationEvaluator the explicit
- * baseline uses, so PTX and Vulkan models are supported uniformly, and
- * once enough behaviours have been seen to settle the quantified
- * condition and the race flags the exploration stops early.
+ * checked exactly through cat::RelationEvaluator, so PTX and Vulkan
+ * models are supported uniformly, and once enough behaviours have been
+ * seen to settle the quantified condition and the race flags the
+ * exploration stops early.
  *
- * Support envelope and verdicts are those of `src/explicit`: both
- * engines share analysis::enumerationUnsupportedReason and
- * analysis::EnumerationResult.
+ * The engine handles the fragment analysis::enumerationUnsupportedReason
+ * accepts: straight-line programs without CAS.
  */
 
 #ifndef GPUMC_DPOR_DPOR_CHECKER_HPP
 #define GPUMC_DPOR_DPOR_CHECKER_HPP
 
 #include <cstdint>
+#include <string>
 
-#include "analysis/concrete_execution.hpp"
 #include "cat/model.hpp"
 #include "program/program.hpp"
 #include "support/stats.hpp"
@@ -52,16 +52,42 @@ struct DporOptions {
     /** External deadline, honored inside the exploration loop in
      *  addition to timeoutMs (default: unlimited). */
     Deadline deadline;
+    /** Walk every candidate: no partial-graph check, no filter pruning,
+     *  no early stop, and no dpor.* trace counters. This is the
+     *  explicit baseline (core::Engine::Explicit). */
+    bool exhaustive = false;
 };
 
-/** The explicit baseline's verdict (analysis::EnumerationResult), with
- *  the exploration counters on top. candidatesExplored is strictly
- *  below the explicit baseline's whenever pruning or early stopping
- *  fires, and consistentBehaviours counts the behaviours *seen*, a
- *  lower bound: subtrees are cut as soon as the verdict is settled. */
-struct DporResult : analysis::EnumerationResult {
+/**
+ * What one exploration reports. It answers safety and DRF at once.
+ * When pruning or early stopping fires, candidatesExplored is below the
+ * exhaustive run's, and consistentBehaviours counts the behaviours
+ * *seen*, a lower bound: subtrees are cut as soon as the verdict is
+ * settled.
+ */
+struct DporResult {
+    /** False when the test uses features the engine cannot handle
+     *  (see analysis::enumerationUnsupportedReason). */
+    bool supported = true;
+    std::string unsupportedReason;
+
+    /** The candidate cap or the wall-clock budget ran out. */
+    bool timedOut = false;
+
+    /** Same semantics as Verifier safety: the quantified litmus
+     *  statement evaluated over all consistent behaviours. */
+    bool conditionHolds = false;
+
+    /** A consistent behaviour with a flagged (racy) pair exists. */
+    bool raceFound = false;
+
+    /** Complete executions evaluated. */
+    uint64_t candidatesExplored = 0;
+    uint64_t consistentBehaviours = 0;
+    double timeMs = 0.0;
+
     // --- exploration counters (also exported as dpor.* trace
-    // counters) -----------------------------------------------------
+    // counters unless exhaustive) ------------------------------------
     uint64_t rfBranches = 0;        ///< rf source choices tried
     uint64_t prunedRfPrefixes = 0;  ///< rf prefixes cut by partial axioms
     uint64_t prunedCoBranches = 0;  ///< co insertions cut by partial axioms
@@ -77,6 +103,8 @@ class DporChecker {
     DporChecker(const prog::Program &program, const cat::CatModel &model,
                 DporOptions options = {});
     ~DporChecker();
+    DporChecker(const DporChecker &) = delete;
+    DporChecker &operator=(const DporChecker &) = delete;
 
     /** Explore once; the result answers safety and DRF. */
     DporResult run();

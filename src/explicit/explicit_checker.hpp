@@ -12,6 +12,9 @@
  * Those limitations are intentional: they reproduce the paper's
  * comparison. The checker doubles as a ground-truth oracle for
  * cross-validating the SMT engine on small tests.
+ *
+ * The enumeration is the DPOR engine's with nothing pruned
+ * (dpor::DporOptions::exhaustive); this header only names that run.
  */
 
 #ifndef GPUMC_EXPLICIT_EXPLICIT_CHECKER_HPP
@@ -19,9 +22,7 @@
 
 #include <cstdint>
 
-#include "analysis/concrete_execution.hpp"
-#include "cat/model.hpp"
-#include "program/program.hpp"
+#include "dpor/dpor_checker.hpp"
 
 namespace gpumc::expl {
 
@@ -33,22 +34,34 @@ struct ExplicitOptions {
     double timeoutMs = 0.0;
 };
 
-/** The verdict shape DPOR shares (see analysis::EnumerationResult). */
-using ExplicitResult = analysis::EnumerationResult;
+/** DPOR's result. Nothing is pruned, so consistencyChecks equals
+ *  candidatesExplored, and the pruned* counters and earlyStops stay
+ *  zero. */
+using ExplicitResult = dpor::DporResult;
 
 class ExplicitChecker {
   public:
     ExplicitChecker(const prog::Program &program,
                     const cat::CatModel &model,
-                    ExplicitOptions options = {});
-    ~ExplicitChecker();
+                    ExplicitOptions options = {})
+        : checker_(program, model, exhaustive(options))
+    {
+    }
 
     /** Enumerate everything once; result answers safety and DRF. */
-    ExplicitResult run();
+    ExplicitResult run() { return checker_.run(); }
 
   private:
-    struct Impl;
-    Impl *impl_;
+    static dpor::DporOptions exhaustive(ExplicitOptions options)
+    {
+        dpor::DporOptions dpor;
+        dpor.maxCandidates = options.maxCandidates;
+        dpor.timeoutMs = options.timeoutMs;
+        dpor.exhaustive = true;
+        return dpor;
+    }
+
+    dpor::DporChecker checker_;
 };
 
 } // namespace gpumc::expl

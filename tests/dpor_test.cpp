@@ -4,7 +4,8 @@
  * classification of the shipped .cat axioms, agreement with the SMT
  * verifier and the explicit baseline over the whole litmus corpus and
  * over fixed fuzz seeds, strictly-fewer-candidates guarantees on
- * multi-write locations, and budget/deadline handling.
+ * multi-write locations, the exhaustive mode that is the explicit
+ * baseline, and budget/deadline handling.
  */
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "dpor/monotone.hpp"
 #include "explicit/explicit_checker.hpp"
 #include "fuzz/random_program.hpp"
+#include "litmus/generator.hpp"
 #include "support/string_utils.hpp"
 #include "tests/test_util.hpp"
 
@@ -292,6 +294,7 @@ exists (P2:r0 == 1 /\ P2:r1 == 2)
     // full canonical partial-coherence space per rf choice, the DPOR
     // engine cuts each rf subtree after its first consistent leaf
     // (PTX has no flag axioms) and prunes with atomicity/causality.
+    EXPECT_EQ(e.candidatesExplored, 81u);
     EXPECT_LT(d.candidatesExplored, e.candidatesExplored);
     EXPECT_GT(d.earlyStops + d.prunedCoBranches + d.prunedSubtrees, 0u);
 }
@@ -315,6 +318,7 @@ exists (P3:r0 == 3)
     EXPECT_TRUE(d.raceFound);
     // `exists` settles as soon as one racy witness appears; the
     // baseline still walks every rf choice x 3! total orders.
+    EXPECT_EQ(e.candidatesExplored, 24u);
     EXPECT_LT(d.candidatesExplored, e.candidatesExplored);
 }
 
@@ -378,6 +382,30 @@ TEST(DporChecker, MaxCandidatesBudget)
     ASSERT_TRUE(r.supported);
     EXPECT_TRUE(r.timedOut);
     EXPECT_LE(r.candidatesExplored, 2u);
+}
+
+TEST(DporChecker, ExhaustiveRunPrunesNothing)
+{
+    const prog::Program programs[] = {
+        litmus::generateScaled(litmus::ScaledPattern::MP, prog::Arch::Ptx,
+                               6),
+        litmus::parseLitmus(kBigPtxProgram),
+    };
+    for (const prog::Program &program : programs) {
+        dpor::DporOptions options;
+        options.exhaustive = true;
+        dpor::DporResult r = runDpor(program, ptx75Model(), options);
+        ASSERT_TRUE(r.supported && !r.timedOut) << program.name;
+        EXPECT_GT(r.candidatesExplored, 0u) << program.name;
+        EXPECT_EQ(r.prunedRfPrefixes, 0u) << program.name;
+        EXPECT_EQ(r.prunedCoBranches, 0u) << program.name;
+        EXPECT_EQ(r.prunedSubtrees, 0u) << program.name;
+        EXPECT_EQ(r.prunedByFilter, 0u) << program.name;
+        EXPECT_EQ(r.earlyStops, 0u) << program.name;
+        // Only complete graphs are judged.
+        EXPECT_EQ(r.consistencyChecks, r.candidatesExplored)
+            << program.name;
+    }
 }
 
 TEST(DporChecker, HonorsExternalDeadline)

@@ -398,6 +398,32 @@ TEST(ExplorationCounters, FixedProgramsKeepTheirSearch)
         EXPECT_EQ(d.consistencyChecks, c.dporChecks) << c.name;
         EXPECT_EQ(e.candidatesExplored, c.explicitCandidates) << c.name;
     }
+
+    // The explicit baseline's complete search on corpus files: SC-fence
+    // orders (sb/iriw-fence-sc), partial coherence with inconsistent
+    // candidates (corw-cycle), total coherence over an RMW chain, and a
+    // release/acquire pair.
+    struct FileCase {
+        const char *file;
+        const cat::CatModel &model;
+        uint64_t candidates;
+        uint64_t consistent;
+    };
+    const FileCase files[] = {
+        {"ptx/basic/sb-fence-sc.litmus", ptx75Model(), 8, 4},
+        {"ptx/basic/iriw-fence-sc.litmus", ptx75Model(), 32, 24},
+        {"ptx/basic/corw-cycle.litmus", ptx75Model(), 27, 4},
+        {"vulkan/basic/coherence-rmw-chain.litmus", vulkanModel(), 96, 6},
+        {"vulkan/basic/mp-rel-acq.litmus", vulkanModel(), 4, 3},
+    };
+    for (const FileCase &c : files) {
+        prog::Program program = litmus::parseLitmusFile(litmusPath(c.file));
+        expl::ExplicitResult e =
+            expl::ExplicitChecker(program, c.model).run();
+        ASSERT_TRUE(e.supported && !e.timedOut) << c.file;
+        EXPECT_EQ(e.candidatesExplored, c.candidates) << c.file;
+        EXPECT_EQ(e.consistentBehaviours, c.consistent) << c.file;
+    }
 }
 
 // ---------------------------------------------------------------------

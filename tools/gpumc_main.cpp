@@ -55,13 +55,19 @@ parseArgs(cli::Parser &cli, int argc, char **argv)
              opts.allProperties);
     core::addVerifierFlags(cli, opts.verifier);
     cli.text("grid", "X.Y", "thread grid for SPIR-V kernels", grid);
-    cli.flag("witness", "print the witness execution", opts.printWitness);
-    cli.text("dot", "FILE", "write the witness as a GraphViz graph",
+    cli.flag("witness", "print the witness execution (smt only)",
+             opts.printWitness);
+    cli.text("dot", "FILE",
+             "write the witness as a GraphViz graph (smt\nonly)",
              opts.dotPath);
     cli.traceOutputs();
     std::vector<std::string> positional = cli.parse(argc, argv);
     opts.inputPath = positional[0];
     opts.modelPath = positional[1];
+    // Only the SMT engine builds a witness execution.
+    if (opts.verifier.engine != core::Engine::Smt &&
+        (opts.printWitness || !opts.dotPath.empty()))
+        cli.fail("--witness and --dot only support --engine=smt");
     if (!grid.empty()) {
         std::vector<std::string> parts = split(grid, '.');
         if (parts.size() != 2)
