@@ -371,15 +371,12 @@ RelationAnalysis::computeDerived(const Expr &expr)
         out.ub = a.ub.compose(c.ub);
         // Lower-bound composition is only safe through intermediates
         // that execute unconditionally.
-        PairSet composedLb = a.lb.compose(c.lb);
-        for (auto [i, j] : a.lb.pairs()) {
-            for (auto [k, l] : c.lb.pairs()) {
-                if (j == k && exec_.eventUnconditional(j) &&
-                    composedLb.contains(i, l)) {
-                    out.lb.add(i, l);
-                }
-            }
+        PairSet throughUnconditional;
+        for (auto [k, l] : c.lb.pairs()) {
+            if (exec_.eventUnconditional(k))
+                throughUnconditional.add(k, l);
         }
+        out.lb = a.lb.compose(throughUnconditional);
         return out;
       }
       case ExprKind::Cartesian: {

@@ -172,6 +172,36 @@ exists (true)
     EXPECT_TRUE(f.ra.boundsOf(*model.lets()[0].expr).ub.contains(a, c));
 }
 
+TEST(RelationAnalysis, SeqLowerBoundOnlyThroughUnconditionalEvents)
+{
+    // po;po joins ld -> st y only through the store under the branch, so
+    // the pair is possible but not certain; ld -> st z also passes the
+    // unconditional st y and is certain whenever both ends execute.
+    cat::CatModel model =
+        cat::CatModel::fromSource("let pp = po ; po\nempty pp");
+    Fixture f(R"(
+PTX
+P0@cta 0,gpu 0 ;
+ld.weak r0, c  ;
+beq r0, 0, LE  ;
+st.weak x, 1   ;
+LE:            ;
+st.weak y, 1   ;
+st.weak z, 1   ;
+exists (true)
+)",
+              model);
+    int ld = f.eventByDisplay("ld r0,c");
+    int sty = f.eventByDisplay("st y");
+    int stz = f.eventByDisplay("st z");
+    ASSERT_FALSE(f.exec.eventUnconditional(f.eventByDisplay("st x")));
+    ASSERT_TRUE(f.exec.eventUnconditional(sty));
+    const Bounds &pp = f.ra.boundsOf(*model.lets()[0].expr);
+    EXPECT_TRUE(pp.ub.contains(ld, sty));
+    EXPECT_FALSE(pp.lb.contains(ld, sty)) << "only via the branch arm";
+    EXPECT_TRUE(pp.lb.contains(ld, stz)) << "via the unconditional st y";
+}
+
 TEST(RelationAnalysis, SetOfEvaluatesTags)
 {
     cat::CatModel model = cat::CatModel::fromSource(
