@@ -1,8 +1,10 @@
 #include "analysis/concrete_execution.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
+#include "cat/vocabulary.hpp"
 #include "program/event.hpp"
 
 namespace gpumc::analysis {
@@ -278,38 +280,64 @@ ValueSimulation::evalTerm(const prog::CondTerm &term,
     GPUMC_PANIC("unhandled term");
 }
 
+std::vector<int>
+everyEvent(const prog::UnrolledProgram &up)
+{
+    std::vector<int> events(up.numEvents());
+    std::iota(events.begin(), events.end(), 0);
+    return events;
+}
+
+namespace {
+
+/**
+ * The pairs of @p name's upper bound between two of @p events that
+ * @p keep accepts, in the bound's order and renumbered to view ids.
+ */
+template <typename Keep>
+PairSet
+boundOverEvents(RelationAnalysis &ra, const std::string &name,
+                const std::vector<int> &events, Keep keep)
+{
+    std::vector<int> viewId(ra.unrolled().numEvents(), -1);
+    for (size_t i = 0; i < events.size(); ++i)
+        viewId[events[i]] = static_cast<int>(i);
+    PairSet out;
+    for (auto [a, b] : ra.baseBounds(name).ub.pairs()) {
+        if (viewId[a] >= 0 && viewId[b] >= 0 && keep(a, b))
+            out.add(viewId[a], viewId[b]);
+    }
+    return out;
+}
+
+} // namespace
+
 std::map<std::string, PairSet>
-concreteStaticRels(RelationAnalysis &ra)
+concreteStaticRels(RelationAnalysis &ra, const std::vector<int> &events)
 {
     std::map<std::string, PairSet> rels;
-    for (const char *name :
-         {"po", "loc", "vloc", "id", "int", "ext", "addr", "data",
-          "ctrl", "rmw", "sr", "scta", "ssg", "swg", "sqf", "ssw"}) {
-        rels[name] = ra.baseBounds(name).ub;
-    }
-    for (const char *name :
-         {"rf", "co", "sync_fence", "syncbar", "sync_barrier"}) {
-        rels[name] = PairSet();
+    for (const std::string &name : cat::Vocabulary::gpu().rels) {
+        bool chosen = std::find(kChosenRels.begin(), kChosenRels.end(),
+                                name) != kChosenRels.end();
+        rels[name] = chosen ? PairSet()
+                            : boundOverEvents(ra, name, events,
+                                              [](int, int) { return true; });
     }
     return rels;
 }
 
 std::map<std::string, PairSet>
-concreteBarrierRels(RelationAnalysis &ra,
+concreteBarrierRels(RelationAnalysis &ra, const std::vector<int> &events,
                     const std::map<int, int64_t> &barrierIds)
 {
+    auto sameId = [&](int a, int b) {
+        auto ia = barrierIds.find(a), ib = barrierIds.find(b);
+        return ia != barrierIds.end() && ib != barrierIds.end() &&
+               ia->second == ib->second;
+    };
     std::map<std::string, PairSet> rels;
-    for (const char *name : {"syncbar", "sync_barrier"}) {
-        PairSet out;
-        for (auto [a, b] : ra.baseBounds(name).ub.pairs()) {
-            auto ia = barrierIds.find(a), ib = barrierIds.find(b);
-            if (ia != barrierIds.end() && ib != barrierIds.end() &&
-                ia->second == ib->second) {
-                out.add(a, b);
-            }
-        }
-        rels[name] = std::move(out);
-    }
+    for (const char *name : {"syncbar", "sync_barrier"})
+        rels[name] = boundOverEvents(ra, name, events, sameId);
     return rels;
 }
 

@@ -2,11 +2,13 @@
  * @file
  * Machinery for evaluating `.cat` models over *concrete* executions, as
  * the DPOR exploration in `src/dpor` does (pruned, or exhaustively as
- * the explicit baseline): an ExecutionView backed by materialized base
- * relations and the evaluator context an exploration keeps over it,
- * the straight-line value simulator that resolves register/memory
- * values under one rf assignment, and the static base relations derived
- * from RelationAnalysis bounds.
+ * the explicit baseline) and as SMT witness replay does
+ * (core::witnessConsistent): an ExecutionView backed by materialized
+ * base relations over the executed events, the evaluator context an
+ * exploration keeps over it, the straight-line value simulator that
+ * resolves register/memory values under one rf assignment, and the
+ * static and barrier base relations derived from RelationAnalysis
+ * bounds.
  */
 
 #ifndef GPUMC_ANALYSIS_CONCRETE_EXECUTION_HPP
@@ -32,24 +34,37 @@ constexpr int kConcreteValueBits = 8;
 constexpr int64_t kConcreteValueMask = (1 << kConcreteValueBits) - 1;
 
 /**
- * ExecutionView over one concrete (possibly partial) behaviour: every
- * event of the unrolled program executes, and base relations are
- * materialized PairSets. ConcreteContext replaces them between checks
- * through rel().
+ * The base relations an execution chooses. Every other base relation
+ * of the vocabulary is static: the program fixes it.
+ */
+inline const std::vector<std::string> kChosenRels = {
+    "rf", "co", "sync_fence", "syncbar", "sync_barrier"};
+
+/** The ids of every event of @p up, for a behaviour executing all. */
+std::vector<int> everyEvent(const prog::UnrolledProgram &up);
+
+/**
+ * ExecutionView over one concrete (possibly partial) behaviour. View
+ * event i is the executed event with original id events[i], and base
+ * relations are materialized PairSets over view ids. ConcreteContext
+ * replaces them between checks through rel().
  */
 class ConcreteView : public cat::ExecutionView {
   public:
-    ConcreteView(const prog::UnrolledProgram &up,
+    ConcreteView(const prog::UnrolledProgram &up, std::vector<int> events,
                  std::map<std::string, cat::PairSet> rels)
-        : up_(&up), rels_(std::move(rels))
+        : up_(&up), events_(std::move(events)), rels_(std::move(rels))
     {
     }
 
-    int numEvents() const override { return up_->numEvents(); }
+    int numEvents() const override
+    {
+        return static_cast<int>(events_.size());
+    }
 
     bool inSet(int event, const std::string &tag) const override
     {
-        return prog::eventHasTag(up_->events[event], tag);
+        return prog::eventHasTag(up_->events[events_[event]], tag);
     }
 
     const cat::PairSet &baseRel(const std::string &name) const override;
@@ -60,6 +75,7 @@ class ConcreteView : public cat::ExecutionView {
 
   private:
     const prog::UnrolledProgram *up_;
+    std::vector<int> events_;
     std::map<std::string, cat::PairSet> rels_;
 };
 
@@ -72,9 +88,10 @@ class ConcreteView : public cat::ExecutionView {
 class ConcreteContext {
   public:
     ConcreteContext(const prog::UnrolledProgram &up,
-                    const cat::CatModel &model,
+                    std::vector<int> events, const cat::CatModel &model,
                     std::map<std::string, cat::PairSet> rels)
-        : view_(up, std::move(rels)), evaluator_(model, view_)
+        : view_(up, std::move(events), std::move(rels)),
+          evaluator_(model, view_)
     {
     }
     ConcreteContext(const ConcreteContext &) = delete;
@@ -129,9 +146,6 @@ class ValueSimulation {
     bool simulate(const std::vector<int> &reads,
                   const std::vector<int> &rfChoice);
 
-    /** Event id -> simulated value (after a successful simulate()). */
-    const std::map<int, int64_t> &values() const { return values_; }
-
     /** Barrier event id -> runtime barrier id. */
     const std::map<int, int64_t> &barrierIds() const
     {
@@ -163,18 +177,23 @@ class ValueSimulation {
 };
 
 /**
- * The base relations of a straight-line program before any choice: the
- * analysis upper bounds of the static relations, and empty rf, co,
- * sync_fence, syncbar and sync_barrier.
- */
-std::map<std::string, cat::PairSet> concreteStaticRels(RelationAnalysis &ra);
-
-/**
- * syncbar and sync_barrier once values are simulated: their analysis
- * upper bounds filtered down to pairs with equal runtime barrier ids.
+ * The base relations of a behaviour executing @p events (original ids,
+ * ascending) before any choice: the analysis upper bounds of the static
+ * relations restricted to @p events and renumbered to view ids, and
+ * every relation of kChosenRels empty. Given every event, the bounds
+ * come out pair for pair.
  */
 std::map<std::string, cat::PairSet>
-concreteBarrierRels(RelationAnalysis &ra,
+concreteStaticRels(RelationAnalysis &ra, const std::vector<int> &events);
+
+/**
+ * syncbar and sync_barrier once barrier ids are known: their analysis
+ * upper bounds restricted to @p events, renumbered to view ids and
+ * filtered down to pairs with equal runtime ids. @p barrierIds maps an
+ * original event id to its runtime barrier id.
+ */
+std::map<std::string, cat::PairSet>
+concreteBarrierRels(RelationAnalysis &ra, const std::vector<int> &events,
                     const std::map<int, int64_t> &barrierIds);
 
 /** Non-init write events per physical location. */

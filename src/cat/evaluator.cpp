@@ -43,7 +43,7 @@ take(const T &value, T &scratch)
 RelationEvaluator::RelationEvaluator(const CatModel &model,
                                      const ExecutionView &exec)
     : model_(model), exec_(exec), allEvents_(exec.numEvents()),
-      letRel_(model.lets().size()), letSet_(model.lets().size())
+      letRel_(model.lets().size())
 {
     std::iota(allEvents_.begin(), allEvents_.end(), 0);
     // A let only names earlier lets, so one pass in order suffices.
@@ -61,10 +61,8 @@ RelationEvaluator::invalidate(const std::string &name)
     auto it = readers_.find(name);
     if (it == readers_.end())
         return;
-    for (int index : it->second) {
+    for (int index : it->second)
         letRel_[index].reset();
-        letSet_[index].reset();
-    }
 }
 
 const PairSet &
@@ -84,56 +82,44 @@ RelationEvaluator::letValue(int index)
 std::vector<bool>
 RelationEvaluator::evalSet(const Expr &e)
 {
-    std::vector<bool> scratch;
-    return take(setRef(e, scratch), scratch);
+    return setRef(e);
 }
 
 const std::vector<bool> &
-RelationEvaluator::setRef(const Expr &e, std::vector<bool> &scratch)
+RelationEvaluator::setRef(const Expr &e)
 {
     GPUMC_ASSERT(e.type == ExprType::Set);
-    int n = exec_.numEvents();
-    switch (e.kind) {
-      case ExprKind::Name: {
-        if (e.resolution == NameRes::LetRef) {
-            std::optional<std::vector<bool>> &slot = letSet_[e.letIndex];
-            if (!slot) {
-                std::vector<bool> inner;
-                slot = take(setRef(*model_.lets()[e.letIndex].expr, inner),
-                            inner);
-            }
-            return *slot;
-        }
-        auto it = tagSets_.find(e.name);
-        if (it == tagSets_.end()) {
-            std::vector<bool> members(n, false);
-            for (int i = 0; i < n; ++i)
-                members[i] = exec_.inSet(i, e.name);
-            it = tagSets_.emplace(e.name, std::move(members)).first;
-        }
+    if (e.kind == ExprKind::Name && e.resolution == NameRes::LetRef)
+        return setRef(*model_.lets()[e.letIndex].expr);
+    auto it = sets_.find(&e);
+    if (it != sets_.end())
         return it->second;
-      }
+    int n = exec_.numEvents();
+    std::vector<bool> members(n, false);
+    switch (e.kind) {
+      case ExprKind::Name:
+        for (int i = 0; i < n; ++i)
+            members[i] = exec_.inSet(i, e.name);
+        break;
       case ExprKind::Union:
       case ExprKind::Inter:
       case ExprKind::Diff: {
-        std::vector<bool> a, b;
-        const std::vector<bool> &lhs = setRef(*e.lhs, a);
-        const std::vector<bool> &rhs = setRef(*e.rhs, b);
-        std::vector<bool> out = lhs;
+        const std::vector<bool> &lhs = setRef(*e.lhs);
+        const std::vector<bool> &rhs = setRef(*e.rhs);
         for (int i = 0; i < n; ++i) {
             if (e.kind == ExprKind::Union)
-                out[i] = out[i] || rhs[i];
+                members[i] = lhs[i] || rhs[i];
             else if (e.kind == ExprKind::Inter)
-                out[i] = out[i] && rhs[i];
+                members[i] = lhs[i] && rhs[i];
             else
-                out[i] = out[i] && !rhs[i];
+                members[i] = lhs[i] && !rhs[i];
         }
-        scratch = std::move(out);
-        return scratch;
+        break;
       }
       default:
         GPUMC_PANIC("expression is not a set");
     }
+    return sets_.emplace(&e, std::move(members)).first->second;
 }
 
 PairSet
@@ -172,9 +158,8 @@ RelationEvaluator::relRef(const Expr &e, PairSet &scratch)
         scratch = relRef(*e.lhs, a).compose(relRef(*e.rhs, b));
         return scratch;
       case ExprKind::Cartesian: {
-        std::vector<bool> sa, sb;
-        const std::vector<bool> &lhs = setRef(*e.lhs, sa);
-        const std::vector<bool> &rhs = setRef(*e.rhs, sb);
+        const std::vector<bool> &lhs = setRef(*e.lhs);
+        const std::vector<bool> &rhs = setRef(*e.rhs);
         PairSet out;
         for (int i = 0; i < exec_.numEvents(); ++i) {
             if (!lhs[i])
@@ -201,8 +186,7 @@ RelationEvaluator::relRef(const Expr &e, PairSet &scratch)
         scratch = relRef(*e.lhs, a).withIdentity(allEvents_);
         return scratch;
       case ExprKind::Bracket: {
-        std::vector<bool> sa;
-        const std::vector<bool> &members = setRef(*e.lhs, sa);
+        const std::vector<bool> &members = setRef(*e.lhs);
         PairSet out;
         for (int i = 0; i < exec_.numEvents(); ++i) {
             if (members[i])

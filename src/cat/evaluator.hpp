@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cat/model.hpp"
@@ -45,8 +46,10 @@ struct AxiomCheck {
 };
 
 /**
- * Evaluates a model over one ExecutionView. Let bindings and base tag
- * sets are memoized for the evaluator's lifetime; the view's events and
+ * Evaluates a model over one ExecutionView. Relation lets are memoized
+ * until invalidated, and every set expression is evaluated once for
+ * the evaluator's lifetime: sets depend only on event tags (no `.cat`
+ * operator turns a relation into a set), and the view's events and
  * tags must never change. An engine that checks many graphs over the
  * same events keeps one evaluator, changes a base relation in the view
  * between evaluations and calls invalidate() with its name: only the
@@ -92,8 +95,8 @@ class RelationEvaluator {
     /** @p e's value: a memoized let or a base relation by reference,
      *  anything else computed into @p scratch. */
     const PairSet &relRef(const Expr &e, PairSet &scratch);
-    const std::vector<bool> &setRef(const Expr &e,
-                                    std::vector<bool> &scratch);
+    /** Set expression @p e's membership mask, memoized. */
+    const std::vector<bool> &setRef(const Expr &e);
 
     const CatModel &model_;
     const ExecutionView &exec_;
@@ -101,8 +104,7 @@ class RelationEvaluator {
     /** Base relation -> the lets that read it, directly or not. */
     std::map<std::string, std::vector<int>> readers_;
     std::vector<std::optional<PairSet>> letRel_;
-    std::vector<std::optional<std::vector<bool>>> letSet_;
-    std::map<std::string, std::vector<bool>> tagSets_;
+    std::unordered_map<const Expr *, std::vector<bool>> sets_;
 };
 
 } // namespace gpumc::cat

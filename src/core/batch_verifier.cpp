@@ -2,10 +2,8 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "core/session_key.hpp"
-#include "serve/completion_queue.hpp"
 #include "serve/executor.hpp"
 #include "support/diagnostics.hpp"
 #include "support/thread_budget.hpp"
@@ -19,8 +17,7 @@ BatchVerifier::BatchVerifier(unsigned jobs)
 }
 
 std::vector<BatchEntry>
-BatchVerifier::run(const std::vector<BatchJob> &batch,
-                   const ProgressFn &onDone) const
+BatchVerifier::run(const std::vector<BatchJob> &batch) const
 {
     std::vector<BatchEntry> entries(batch.size());
 
@@ -42,13 +39,6 @@ BatchVerifier::run(const std::vector<BatchJob> &batch,
             groups.push_back({});
         groups[it->second].indices.push_back(i);
     }
-
-    // Progress callbacks are delivered on a dedicated drain thread, in
-    // completion order, from per-entry snapshots: a slow consumer backs
-    // up the drain queue, never the verification workers.
-    std::optional<serve::CompletionQueue> drain;
-    if (onDone)
-        drain.emplace();
 
     unsigned workers = static_cast<unsigned>(
         std::min<size_t>(jobs_, groups.empty() ? 1 : groups.size()));
@@ -108,20 +98,10 @@ BatchVerifier::run(const std::vector<BatchJob> &batch,
                     fail(entry, jobTimer, "unknown non-standard exception");
                 }
                 jobSpan.close();
-                if (drain) {
-                    // Snapshot by value: the worker moves on (and may
-                    // never touch entries[i] again), while the drain
-                    // thread delivers whenever the consumer is ready.
-                    drain->push([&onDone, i, snapshot = entry] {
-                        onDone(i, snapshot);
-                    });
-                }
             }
         });
     }
     exec.drain();
-    if (drain)
-        drain->flush();
 
     return entries;
 }

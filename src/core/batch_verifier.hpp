@@ -28,7 +28,6 @@
 #ifndef GPUMC_CORE_BATCH_VERIFIER_HPP
 #define GPUMC_CORE_BATCH_VERIFIER_HPP
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,19 +67,8 @@ class BatchVerifier {
 
     unsigned jobs() const { return jobs_; }
 
-    /**
-     * Called after each query completes, with its input index and a
-     * snapshot of its entry. Invocations are serialized on a dedicated
-     * drain thread (safe to print from) and arrive in completion
-     * order, not input order. Delivery never blocks the verification
-     * workers: a slow consumer backs up the drain queue only.
-     */
-    using ProgressFn =
-        std::function<void(size_t index, const BatchEntry &entry)>;
-
     /** Run every job; entry i corresponds to jobs[i]. */
-    std::vector<BatchEntry> run(const std::vector<BatchJob> &batch,
-                                const ProgressFn &onDone = nullptr) const;
+    std::vector<BatchEntry> run(const std::vector<BatchJob> &batch) const;
 
   private:
     unsigned jobs_;

@@ -550,9 +550,7 @@ Verifier::run(Property property)
             }
         }
         if (options_.validateWitness) {
-            WitnessView view(witness, s.ra, s.pe);
-            cat::RelationEvaluator evaluator(model_, view);
-            GPUMC_ASSERT(evaluator.consistent(),
+            GPUMC_ASSERT(witnessConsistent(witness, s.ra, model_),
                          "SAT witness violates the cat model: encoder bug");
         }
         result.witness = std::move(witness);

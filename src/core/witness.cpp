@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/concrete_execution.hpp"
 #include "program/event.hpp"
 
 namespace gpumc::core {
@@ -31,6 +32,9 @@ extractWitness(analysis::RelationAnalysis &ra, encoder::ProgramEncoder &pe)
         if (ev.isMemory())
             we.value = static_cast<int64_t>(pe.bv().modelValue(
                 pe.valueOf(e)));
+        if (ev.kind == EventKind::Barrier)
+            we.barrierId = static_cast<int64_t>(
+                pe.bv().modelValue(pe.barrierIdOf(e)));
         localOf[e] = static_cast<int>(w.events.size());
         w.events.push_back(std::move(we));
     }
@@ -49,6 +53,7 @@ extractWitness(analysis::RelationAnalysis &ra, encoder::ProgramEncoder &pe)
     };
     collectPairs(pe.rfMap(), w.rf);
     collectPairs(pe.coMap(), w.co);
+    collectPairs(pe.syncFenceMap(), w.syncFence);
 
     // Final registers of each thread (only those named in conditions
     // would matter, but all are cheap to record).
@@ -136,77 +141,34 @@ ExecutionWitness::toDot(const std::string &title) const
     return os.str();
 }
 
-WitnessView::WitnessView(const ExecutionWitness &witness,
-                         analysis::RelationAnalysis &ra,
-                         encoder::ProgramEncoder &pe)
-    : witness_(&witness), up_(&ra.unrolled())
-{
-    std::map<int, int> localOf;
-    for (size_t i = 0; i < witness.events.size(); ++i) {
-        originalIds.push_back(witness.events[i].originalId);
-        localOf[witness.events[i].originalId] = static_cast<int>(i);
-    }
-
-    auto remapStatic = [&](const std::string &name) {
-        cat::PairSet out;
-        for (auto [a, b] : ra.baseBounds(name).ub.pairs()) {
-            auto ia = localOf.find(a), ib = localOf.find(b);
-            if (ia != localOf.end() && ib != localOf.end())
-                out.add(ia->second, ib->second);
-        }
-        return out;
-    };
-
-    for (const char *name :
-         {"po", "loc", "vloc", "id", "int", "ext", "addr", "data", "ctrl",
-          "rmw", "sr", "scta", "ssg", "swg", "sqf", "ssw"}) {
-        rels_[name] = remapStatic(name);
-    }
-
-    // Barriers: compare concrete runtime ids from the model.
-    for (const char *name : {"syncbar", "sync_barrier"}) {
-        cat::PairSet out;
-        for (auto [a, b] : ra.baseBounds(name).ub.pairs()) {
-            auto ia = localOf.find(a), ib = localOf.find(b);
-            if (ia == localOf.end() || ib == localOf.end())
-                continue;
-            uint64_t idA = pe.bv().modelValue(pe.barrierIdOf(a));
-            uint64_t idB = pe.bv().modelValue(pe.barrierIdOf(b));
-            if (idA == idB)
-                out.add(ia->second, ib->second);
-        }
-        rels_[name] = std::move(out);
-    }
-
-    auto fromLits = [&](const std::map<uint64_t, smt::Lit> &map) {
-        cat::PairSet out;
-        for (const auto &[key, lit] : map) {
-            if (!pe.circuit().modelTrue(lit))
-                continue;
-            auto ia = localOf.find(static_cast<int>(key >> 32));
-            auto ib = localOf.find(static_cast<int>(key & 0xffffffff));
-            if (ia != localOf.end() && ib != localOf.end())
-                out.add(ia->second, ib->second);
-        }
-        return out;
-    };
-    rels_["rf"] = fromLits(pe.rfMap());
-    rels_["co"] = fromLits(pe.coMap());
-    rels_["sync_fence"] = fromLits(pe.syncFenceMap());
-}
-
 bool
-WitnessView::inSet(int event, const std::string &tag) const
+witnessConsistent(const ExecutionWitness &witness,
+                  analysis::RelationAnalysis &ra, const cat::CatModel &model)
 {
-    return prog::eventHasTag(up_->events[originalIds[event]], tag);
-}
-
-const cat::PairSet &
-WitnessView::baseRel(const std::string &name) const
-{
-    auto it = rels_.find(name);
-    GPUMC_ASSERT(it != rels_.end(), "unknown base relation ", name);
-    return it->second;
+    std::vector<int> events;
+    std::map<int, int64_t> barrierIds;
+    for (const WitnessEvent &e : witness.events) {
+        events.push_back(e.originalId);
+        if (e.barrierId)
+            barrierIds[e.originalId] = *e.barrierId;
+    }
+    std::map<std::string, cat::PairSet> rels =
+        analysis::concreteStaticRels(ra, events);
+    for (auto &[name, rel] :
+         analysis::concreteBarrierRels(ra, events, barrierIds))
+        rels[name] = std::move(rel);
+    auto fromPairs = [](const std::vector<cat::EventPair> &pairs) {
+        cat::PairSet out;
+        for (auto [a, b] : pairs)
+            out.add(a, b);
+        return out;
+    };
+    rels["rf"] = fromPairs(witness.rf);
+    rels["co"] = fromPairs(witness.co);
+    rels["sync_fence"] = fromPairs(witness.syncFence);
+    analysis::ConcreteView view(ra.unrolled(), std::move(events),
+                                std::move(rels));
+    return cat::RelationEvaluator(model, view).consistent();
 }
 
 } // namespace gpumc::core

@@ -1,9 +1,9 @@
 /**
  * @file
  * Execution witnesses: a concrete behaviour (executed events, rf, co,
- * values, final registers) extracted from a SAT model. Witnesses can be
- * rendered as DOT execution graphs (paper Figs. 3/14 style) and
- * re-checked against the `.cat` model with the concrete evaluator.
+ * sync_fence, values, barrier ids, final registers) extracted from a
+ * SAT model. Witnesses can be rendered as DOT execution graphs (paper
+ * Figs. 3/14 style) and replayed through the concrete evaluator.
  */
 
 #ifndef GPUMC_CORE_WITNESS_HPP
@@ -11,10 +11,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "cat/evaluator.hpp"
 #include "encoder/program_encoder.hpp"
 
 namespace gpumc::core {
@@ -26,6 +26,7 @@ struct WitnessEvent {
     bool isRead = false, isWrite = false;
     int physLoc = -1;
     int64_t value = 0;   // read or written value (memory events)
+    std::optional<int64_t> barrierId; // runtime id (control barriers)
 };
 
 class ExecutionWitness {
@@ -33,6 +34,7 @@ class ExecutionWitness {
     std::vector<WitnessEvent> events;          // executed events only
     std::vector<cat::EventPair> rf;            // witness-local indices
     std::vector<cat::EventPair> co;
+    std::vector<cat::EventPair> syncFence;
     std::map<std::string, int64_t> finalRegisters; // "P0:r1" -> value
     std::vector<cat::EventPair> flaggedPairs;  // e.g. racy accesses
 
@@ -50,28 +52,15 @@ ExecutionWitness extractWitness(analysis::RelationAnalysis &ra,
                                 encoder::ProgramEncoder &pe);
 
 /**
- * Adapt a witness back into a cat::ExecutionView so the concrete
- * evaluator can re-check the axioms (cross-validation of the encoder).
+ * Replay @p witness through the concrete evaluator: does it satisfy
+ * every consistency axiom of @p model? The static and barrier relations
+ * come from @p ra's bounds over the witness's events, built as the
+ * enumerative engines build them; rf, co and sync_fence come from the
+ * witness. A SAT witness that fails is an encoder bug.
  */
-class WitnessView : public cat::ExecutionView {
-  public:
-    WitnessView(const ExecutionWitness &witness,
-                analysis::RelationAnalysis &ra,
-                encoder::ProgramEncoder &pe);
-
-    int numEvents() const override
-    {
-        return static_cast<int>(witness_->events.size());
-    }
-    bool inSet(int event, const std::string &tag) const override;
-    const cat::PairSet &baseRel(const std::string &name) const override;
-
-  private:
-    const ExecutionWitness *witness_;
-    const prog::UnrolledProgram *up_;
-    std::vector<int> originalIds;
-    std::map<std::string, cat::PairSet> rels_;
-};
+bool witnessConsistent(const ExecutionWitness &witness,
+                       analysis::RelationAnalysis &ra,
+                       const cat::CatModel &model);
 
 } // namespace gpumc::core
 

@@ -8,9 +8,9 @@
 #include "analysis/concrete_execution.hpp"
 #include "analysis/relation_analysis.hpp"
 #include "cat/evaluator.hpp"
-#include "dpor/monotone.hpp"
 #include "program/event.hpp"
 #include "program/unroller.hpp"
+#include "support/stats.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::dpor {
@@ -36,7 +36,8 @@ struct DporChecker::Impl {
     analysis::ExecAnalysis exec;
     analysis::RelationAnalysis ra;
     analysis::ValueSimulation sim;
-    PolarityAnalysis polarity;
+    /** Straight-line programs execute every event. */
+    const std::vector<int> events;
 
     std::vector<int> reads;                   // read event ids
     std::vector<std::vector<int>> candidates; // rf sources per read
@@ -60,7 +61,7 @@ struct DporChecker::Impl {
      *  relations, rf and sync_fence of the current (rf, sf) subtree. */
     std::optional<analysis::ConcreteContext> coStage;
 
-    // Stage-classified axioms (see monotone.hpp); all empty when
+    // Stage-classified axioms (see AxiomPolarity); all empty when
     // exhaustive, so no partial graph is checked.
     std::vector<const cat::Axiom *> rfStageAxioms;
     std::vector<const cat::Axiom *> coRootAxioms;
@@ -78,7 +79,8 @@ struct DporChecker::Impl {
 
     Impl(const prog::Program &p, const cat::CatModel &m, DporOptions o)
         : program(p), model(m), opts(o), up(prog::unroll(p, 1)),
-          exec(up), ra(exec, m), sim(p, up), polarity(m)
+          exec(up), ra(exec, m), sim(p, up),
+          events(analysis::everyEvent(up))
     {
     }
 
@@ -86,8 +88,7 @@ struct DporChecker::Impl {
 
     bool deadlineExpired()
     {
-        if (opts.deadline.expired() ||
-            (opts.timeoutMs > 0 && watch.elapsedMs() > opts.timeoutMs)) {
+        if (opts.timeoutMs > 0 && watch.elapsedMs() > opts.timeoutMs) {
             result.timedOut = true;
             return true;
         }
@@ -124,7 +125,7 @@ struct DporChecker::Impl {
      * Set @p stage's relation @p name to @p value and check the stage's
      * monotone axioms on the partial graph. Every undecided relation is
      * supplied as its decided-so-far subset, so any violation is final
-     * (see monotone.hpp).
+     * (see AxiomPolarity).
      */
     bool partialViolated(const std::vector<const cat::Axiom *> &axioms,
                          analysis::ConcreteContext &stage,
@@ -373,7 +374,7 @@ struct DporChecker::Impl {
             return Walk::Continue; // value-inconsistent rf choice
         coStage->set("rf", rfPrefix(reads.size()));
         for (auto &[name, rel] :
-             analysis::concreteBarrierRels(ra, sim.barrierIds())) {
+             analysis::concreteBarrierRels(ra, events, sim.barrierIds())) {
             coStage->set(name, std::move(rel));
         }
 
@@ -420,31 +421,28 @@ struct DporChecker::Impl {
 
     void classifyAxioms()
     {
-        // During rf branching co, sync_fence and the barrier relations
-        // are all still undecided; during coherence insertion only co
-        // is (sf is fixed before co, values after rf).
-        const std::vector<std::string> undecidedAtRf = {
-            "rf", "co", "sync_fence", "syncbar", "sync_barrier"};
+        // During rf branching every relation an execution chooses is
+        // still undecided; during coherence insertion only co is (sf is
+        // fixed before co, values after rf).
         const std::vector<std::string> undecidedAtCo = {"co"};
         const std::vector<std::string> coAndSf = {"co", "sync_fence"};
 
         flagsCoConstant = true;
         for (const cat::Axiom &ax : model.axioms()) {
+            AxiomPolarity polarity(model, ax);
             if (ax.kind == cat::AxiomKind::FlagNonEmpty) {
                 flagsCoConstant =
-                    flagsCoConstant && polarity.constantIn(ax, coAndSf);
+                    flagsCoConstant && polarity.constantIn(coAndSf);
                 continue;
             }
-            if (polarity.prunableWithPartial(ax, undecidedAtRf) &&
-                polarity.polarityOf(*ax.expr, "rf") == Polarity::Pos) {
+            if (polarity.prunableWithPartial(analysis::kChosenRels) &&
+                polarity.of("rf") == cat::Polarity::Pos) {
                 rfStageAxioms.push_back(&ax);
             }
-            if (polarity.prunableWithPartial(ax, undecidedAtCo)) {
+            if (polarity.prunableWithPartial(undecidedAtCo)) {
                 coRootAxioms.push_back(&ax);
-                if (polarity.polarityOf(*ax.expr, "co") ==
-                    Polarity::Pos) {
+                if (polarity.of("co") == cat::Polarity::Pos)
                     coStageAxioms.push_back(&ax);
-                }
             }
         }
     }
@@ -515,9 +513,11 @@ struct DporChecker::Impl {
         }
         orders.resize(locWrites.size());
         initCo = analysis::concreteInitCoEdges(up);
-        rfStage.emplace(up, model, analysis::concreteStaticRels(ra));
+        rfStage.emplace(up, events, model,
+                        analysis::concreteStaticRels(ra, events));
         rfStage->set("co", initCo);
-        coStage.emplace(up, model, analysis::concreteStaticRels(ra));
+        coStage.emplace(up, events, model,
+                        analysis::concreteStaticRels(ra, events));
 
         exploreRf(0);
 
@@ -529,6 +529,22 @@ struct DporChecker::Impl {
         return result;
     }
 };
+
+AxiomPolarity::AxiomPolarity(const cat::CatModel &model,
+                             const cat::Axiom &axiom)
+    : axiom_(&axiom), walk_(model)
+{
+    walk_.walk(*axiom.expr, cat::Polarity::Pos);
+}
+
+bool
+AxiomPolarity::occursAtMost(const std::vector<std::string> &rels,
+                            cat::Polarity at) const
+{
+    return std::all_of(rels.begin(), rels.end(), [&](const std::string &r) {
+        return cat::joinPolarity(of(r), at) == at;
+    });
+}
 
 DporChecker::DporChecker(const prog::Program &program,
                          const cat::CatModel &model, DporOptions options)

@@ -20,7 +20,7 @@
  *
  * After every decision the partial graph is checked against the subset
  * of model axioms that are *monotone* in the still-undecided relations
- * (see monotone.hpp): a violation on the partial graph persists in all
+ * (see AxiomPolarity): a violation on the partial graph persists in all
  * completions, so the whole subtree is pruned. Complete graphs are
  * checked exactly through cat::RelationEvaluator, so PTX and Vulkan
  * models are supported uniformly, and once enough behaviours have been
@@ -36,10 +36,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cat/model.hpp"
+#include "cat/polarity.hpp"
 #include "program/program.hpp"
-#include "support/stats.hpp"
 
 namespace gpumc::dpor {
 
@@ -49,9 +50,6 @@ struct DporOptions {
     uint64_t maxCandidates = 0;
     /** Wall-clock budget in milliseconds (0 = no limit). */
     double timeoutMs = 0.0;
-    /** External deadline, honored inside the exploration loop in
-     *  addition to timeoutMs (default: unlimited). */
-    Deadline deadline;
     /** Walk every candidate: no partial-graph check, no filter pruning,
      *  no early stop, and no dpor.* trace counters. This is the
      *  explicit baseline (core::Engine::Explicit). */
@@ -96,6 +94,55 @@ struct DporResult {
     uint64_t sfDeduped = 0;         ///< duplicate sync-fence sets skipped
     uint64_t earlyStops = 0;        ///< subtrees stopped after a leaf
     uint64_t consistencyChecks = 0; ///< evaluator runs (partial + full)
+};
+
+/**
+ * The soundness core of partial-graph pruning. While the exploration
+ * grows an execution graph one decision at a time, every still-
+ * undecided base relation is only *under*-approximated: the edges
+ * decided so far are a subset of the edges of any complete extension.
+ * An axiom `empty e` / `irreflexive e` / `acyclic e` can be checked
+ * soundly on such a partial graph iff `e` is *monotone* in every
+ * undecided base relation: then e(partial) ⊆ e(extension), so a
+ * violation visible on the partial graph persists in every completion
+ * and the whole subtree can be pruned. Monotonicity is syntactic: a
+ * relation that a cat::PolarityWalk from `e` at Pos reaches only at Pos
+ * (never under the right-hand side of `\`) is monotone.
+ */
+class AxiomPolarity {
+  public:
+    AxiomPolarity(const cat::CatModel &model, const cat::Axiom &axiom);
+
+    /** How base relation @p rel occurs in the axiom's expression. */
+    cat::Polarity of(const std::string &rel) const
+    {
+        return walk_.ofBase(rel);
+    }
+
+    /**
+     * Can a violation already be trusted on a partial graph where every
+     * relation in @p undecided is a subset of its final value? True iff
+     * each of them occurs at Pos or not at all. Flags never prune.
+     */
+    bool prunableWithPartial(const std::vector<std::string> &undecided)
+        const
+    {
+        return axiom_->kind != cat::AxiomKind::FlagNonEmpty &&
+               occursAtMost(undecided, cat::Polarity::Pos);
+    }
+
+    /** Does the axiom's value ignore every relation in @p undecided? */
+    bool constantIn(const std::vector<std::string> &undecided) const
+    {
+        return occursAtMost(undecided, cat::Polarity::None);
+    }
+
+  private:
+    bool occursAtMost(const std::vector<std::string> &rels,
+                      cat::Polarity at) const;
+
+    const cat::Axiom *axiom_;
+    cat::PolarityWalk walk_;
 };
 
 class DporChecker {

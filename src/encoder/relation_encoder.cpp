@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "support/trace.hpp"
 
@@ -147,13 +148,15 @@ collectBaseRels(const Expr &expr, const cat::CatModel &model,
 
 RelationEncoder::RelationEncoder(analysis::RelationAnalysis &ra,
                                  ProgramEncoder &pe)
-    : ra_(ra), pe_(pe), c_(pe.circuit())
+    : ra_(ra), pe_(pe), c_(pe.circuit()), polarity_(ra.model())
 {
-    // Consistency axioms forbid relation membership (want-false);
-    // flagged axioms are asserted non-empty (want-true).
+    // Consistency axioms forbid relation membership (the solver wants
+    // them false); flagged axioms are asserted non-empty (true).
     for (const cat::Axiom &axiom : ra_.model().axioms()) {
-        markPolarity(*axiom.expr,
-                     axiom.kind == cat::AxiomKind::FlagNonEmpty);
+        polarity_.walk(*axiom.expr,
+                       axiom.kind == cat::AxiomKind::FlagNonEmpty
+                           ? cat::Polarity::Pos
+                           : cat::Polarity::Neg);
     }
     // Under tracing, force the bound computation of every base
     // relation the model references so the metrics export carries
@@ -168,41 +171,6 @@ RelationEncoder::RelationEncoder(analysis::RelationAnalysis &ra,
             collectBaseRels(*axiom.expr, ra_.model(), seen, baseRels);
         for (const std::string &name : baseRels)
             ra_.baseBounds(name);
-    }
-}
-
-void
-RelationEncoder::markPolarity(const Expr &expr, bool solverWantsTrue)
-{
-    auto &seen = solverWantsTrue ? wantTrue_ : wantFalse_;
-    if (!seen.insert(&expr).second)
-        return;
-    switch (expr.kind) {
-      case ExprKind::Name:
-        if (expr.resolution == NameRes::LetRef) {
-            markPolarity(*ra_.model().lets()[expr.letIndex].expr,
-                         solverWantsTrue);
-        }
-        return;
-      case ExprKind::Diff:
-        markPolarity(*expr.lhs, solverWantsTrue);
-        markPolarity(*expr.rhs, !solverWantsTrue); // flipped
-        return;
-      case ExprKind::Union:
-      case ExprKind::Inter:
-      case ExprKind::Seq:
-        markPolarity(*expr.lhs, solverWantsTrue);
-        markPolarity(*expr.rhs, solverWantsTrue);
-        return;
-      case ExprKind::Cartesian:
-      case ExprKind::Bracket:
-        return; // static membership
-      case ExprKind::Inverse:
-      case ExprKind::TransClosure:
-      case ExprKind::ReflTransClosure:
-      case ExprKind::Optional:
-        markPolarity(*expr.lhs, solverWantsTrue);
-        return;
     }
 }
 
@@ -391,9 +359,9 @@ RelationEncoder::closureLit(ClosureInfo &info, const Expr &expr, int a,
     if (it != closurePairs_.end())
         return it->second;
 
-    // Polarity: in want-false-only positions the solver already
-    // prefers the least fix-point, so the cheap completeness direction
-    // is enough; otherwise well-foundedness indices are required.
+    // Where the solver only wants the closure false it already prefers
+    // the least fix-point, so the cheap completeness direction is
+    // enough; otherwise well-foundedness indices are required.
     bool sound = needsSoundness(expr);
 
     // Insert the variable before recursing: cycles hit the memo.

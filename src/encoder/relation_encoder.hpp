@@ -8,17 +8,23 @@
  *  - pairs inside the lower bound reduce to exec(a) & exec(b);
  *  - other pairs get their definitional formula (union = or, ...).
  *
- * Transitive closures are encoded exactly (least fix-point) by
- * stratified repeated squaring over the static upper bound; levels are
- * stratified, so no cyclic justification can occur.
+ * A transitive closure gets one variable per pair of its upper bound.
+ * Completeness clauses (a child step plus a closure suffix implies the
+ * pair) make it at least the least fix-point. That is exact wherever
+ * the solver wants the closure false, as inside a consistency axiom.
+ * A closure it could want true (cat::PolarityWalk reaches it at Pos,
+ * e.g. under the right of a `\` in a consistency axiom or inside a
+ * flag) also gets soundness: each pair carries a well-foundedness
+ * index and holds only through a step whose suffix has a smaller
+ * index, so no cyclic justification can occur.
  */
 
 #ifndef GPUMC_ENCODER_RELATION_ENCODER_HPP
 #define GPUMC_ENCODER_RELATION_ENCODER_HPP
 
-#include <set>
 #include <unordered_map>
 
+#include "cat/polarity.hpp"
 #include "encoder/program_encoder.hpp"
 
 namespace gpumc::encoder {
@@ -59,19 +65,20 @@ class RelationEncoder {
     void assertAcyclic(const cat::Expr &expr);
 
     /**
-     * Polarity analysis: mark sub-expressions by whether a satisfying
-     * assignment could *benefit* from the relation being spuriously
-     * true ("want-true", e.g. under a difference inside a consistency
-     * axiom). Closures only reachable in want-false positions can be
-     * encoded with the completeness direction alone — the solver
-     * already prefers the least fix-point there. Closures reachable in
-     * a want-true position need the decreasing-index justification.
+     * Does a satisfying assignment possibly *benefit* from @p expr
+     * being spuriously true? polarity_ walks every consistency axiom
+     * from Neg and every flag from Pos, so exactly those nodes are
+     * reached at Pos (e.g. under a difference inside a consistency
+     * axiom). A closure reached only at Neg is encoded with the
+     * completeness direction alone — the solver already prefers the
+     * least fix-point there. A closure reached at Pos needs the
+     * decreasing-index justification.
      */
-    void markPolarity(const cat::Expr &expr, bool solverWantsTrue);
     bool needsSoundness(const cat::Expr &expr) const
     {
+        cat::Polarity p = polarity_.of(expr);
         return pe_.options().forceClosureSoundness ||
-               wantTrue_.count(&expr) != 0;
+               p == cat::Polarity::Pos || p == cat::Polarity::Both;
     }
 
     /** Successor adjacency of an upper bound, cached per expression. */
@@ -106,8 +113,7 @@ class RelationEncoder {
     std::unordered_map<const cat::Expr *,
                        std::unordered_map<int, std::vector<int>>>
         succCache_;
-    std::set<const cat::Expr *> wantTrue_;
-    std::set<const cat::Expr *> wantFalse_;
+    cat::PolarityWalk polarity_;
 
     // Tracing-only: the outermost named relation currently being
     // encoded, and the backend var/clause counts when it started —

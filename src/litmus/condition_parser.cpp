@@ -113,8 +113,11 @@ class CondParser {
                    std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
                 pos_++;
             }
-            return CondTerm::makeConst(
-                std::stoll(std::string(text_.substr(start, pos_ - start))));
+            std::string_view literal = text_.substr(start, pos_ - start);
+            std::optional<int64_t> value = parseInt(literal);
+            if (!value)
+                fail("bad integer literal '" + std::string(literal) + "'");
+            return CondTerm::makeConst(*value);
         }
         if (!std::isalpha(static_cast<unsigned char>(c)) && c != '_')
             fail("expected a term");
@@ -140,9 +143,13 @@ class CondParser {
             }
             if (pos_ == rstart)
                 fail("expected register name after ':'");
-            int thread = std::stoi(name.substr(1));
+            std::optional<int64_t> thread =
+                parseInt(std::string_view(name).substr(1));
+            if (!thread || *thread > std::numeric_limits<int>::max())
+                fail("bad thread index in '" + name + "'");
             return CondTerm::makeReg(
-                thread, std::string(text_.substr(rstart, pos_ - rstart)));
+                static_cast<int>(*thread),
+                std::string(text_.substr(rstart, pos_ - rstart)));
         }
         return CondTerm::makeMem(std::move(name));
     }

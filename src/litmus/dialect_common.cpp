@@ -29,7 +29,7 @@ parseOperand(const std::string &text, SourceLoc loc)
     if (text.empty())
         fatalAt(loc, "empty operand");
     if (isInteger(text))
-        return prog::Operand::makeConst(std::stoll(text));
+        return prog::Operand::makeConst(parseLiteral(text, loc));
     return prog::Operand::makeReg(text);
 }
 

@@ -240,7 +240,7 @@ class StructParser {
             if (words[i] == "=" && i + 1 < words.size()) {
                 if (!isInteger(words[i + 1]))
                     fatalAt(here(), "bad initial value for ", decl.name);
-                decl.init = std::stoll(words[i + 1]);
+                decl.init = parseLiteral(words[i + 1], here());
                 i += 2;
             } else if (words[i] == "->" && i + 1 < words.size()) {
                 decl.aliasOf = words[i + 1];
@@ -318,7 +318,7 @@ class StructParser {
                 fatalAt(here(), "bad placement clause '", itemRaw,
                         "' in thread header");
             }
-            int value = std::stoi(words[1]);
+            int value = parseLiteral<int>(words[1], here());
             const std::string &key = words[0];
             if (key == "cta") {
                 thread.placement.cta = value;

@@ -3,10 +3,9 @@
  * Single-threaded completion drain: callbacks pushed from any worker
  * are delivered one at a time, in push order, on a dedicated thread.
  *
- * This is what keeps progress/response delivery off the verification
- * workers. The old BatchVerifier invoked its progress callback while
- * holding the progress mutex *on the worker*, so one slow consumer
- * (a terminal on a slow pty, a blocked client socket) stalled every
+ * This is what keeps gpumc-serve's response delivery off the
+ * verification workers. Writing a response on the worker would let one
+ * slow consumer (a client that stops reading its socket) stall every
  * worker in the pool. With a drain, workers only pay for the enqueue;
  * a slow consumer backs up this queue, never the solvers.
  *

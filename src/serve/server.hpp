@@ -6,8 +6,7 @@
  * All three speak the same line-delimited JSON protocol. Each socket
  * connection gets a reader thread plus a CompletionQueue that delivers
  * responses in enqueue order off the verification workers — a client
- * that stops reading backs up its own queue, never the solvers (the
- * same discipline as BatchVerifier progress delivery).
+ * that stops reading backs up its own queue, never the solvers.
  *
  * Shutdown: SIGTERM/SIGINT write to a self-pipe that wakes the accept
  * loop; the server stops accepting, half-closes every connection so

@@ -102,7 +102,7 @@ class ModuleParser {
             if (line.empty())
                 continue;
             if (line[0] == ';') {
-                parseDirective(line);
+                parseDirective(line, SourceLoc{lineNo, 1});
                 continue;
             }
             SpvLine parsed = tokenize(line, lineNo);
@@ -125,7 +125,7 @@ class ModuleParser {
     }
 
   private:
-    void parseDirective(std::string_view comment)
+    void parseDirective(std::string_view comment, SourceLoc loc)
     {
         auto words = splitWhitespace(comment.substr(1));
         for (size_t i = 0; i < words.size(); ++i) {
@@ -133,8 +133,9 @@ class ModuleParser {
                 auto parts = split(words[i + 1], '.');
                 if (parts.size() == 2 && isInteger(parts[0]) &&
                     isInteger(parts[1])) {
-                    module_.grid.threadsPerWorkgroup = std::stoi(parts[0]);
-                    module_.grid.workgroups = std::stoi(parts[1]);
+                    module_.grid.threadsPerWorkgroup =
+                        parseLiteral<int>(parts[0], loc);
+                    module_.grid.workgroups = parseLiteral<int>(parts[1], loc);
                 }
             } else if (words[i] == "@expect" || words[i] == "@config") {
                 while (i + 1 < words.size()) {
@@ -205,7 +206,8 @@ class ModuleParser {
             return;
         }
         if (line.op == "OpConstant" && line.args.size() >= 2) {
-            module_.constants[line.result] = std::stoll(line.args[1]);
+            module_.constants[line.result] =
+                parseLiteral(line.args[1], line.loc);
             return;
         }
         if (line.op == "OpConstantTrue") {

@@ -7,10 +7,13 @@
 #define GPUMC_SUPPORT_STRING_UTILS_HPP
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/diagnostics.hpp"
 
 namespace gpumc {
 
@@ -42,6 +45,22 @@ bool isInteger(std::string_view s);
  * safe alternative to std::stoi for CLI flags and litmus metadata.
  */
 std::optional<int64_t> parseInt(std::string_view s);
+
+/**
+ * Parse an integer literal of an input file into a @p T. A malformed
+ * literal, or one outside @p T's range, is the input's fault:
+ * FatalError at @p loc, naming the text.
+ */
+template <typename T = int64_t>
+T
+parseLiteral(std::string_view text, const SourceLoc &loc)
+{
+    std::optional<int64_t> parsed = parseInt(text);
+    if (!parsed || *parsed < std::numeric_limits<T>::min() ||
+        *parsed > std::numeric_limits<T>::max())
+        fatalAt(loc, "bad integer literal '", text, "'");
+    return static_cast<T>(*parsed);
+}
 
 /**
  * Guarded replacement for std::stoi on CLI flag values, behind the

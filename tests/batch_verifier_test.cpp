@@ -103,23 +103,6 @@ TEST(BatchVerifier, ParallelMatchesSequential)
     }
 }
 
-TEST(BatchVerifier, ProgressCallbackCoversEveryJob)
-{
-    std::deque<prog::Program> programs;
-    std::vector<core::BatchJob> jobs = buildJobs(programs);
-    jobs.resize(6);
-
-    std::vector<int> seen(jobs.size(), 0);
-    core::BatchVerifier engine(3);
-    engine.run(jobs, [&](size_t index, const core::BatchEntry &entry) {
-        ASSERT_LT(index, seen.size());
-        EXPECT_EQ(entry.label, jobs[index].label);
-        seen[index]++; // serialized by the engine
-    });
-    for (int count : seen)
-        EXPECT_EQ(count, 1);
-}
-
 class BatchStats : public ::testing::TestWithParam<smt::BackendKind> {};
 
 TEST_P(BatchStats, PhaseAndSolverStatsPopulated)

@@ -10,6 +10,7 @@
 #include "cat/lexer.hpp"
 #include "cat/model.hpp"
 #include "cat/parser.hpp"
+#include "cat/polarity.hpp"
 
 namespace gpumc::cat {
 namespace {
@@ -135,6 +136,60 @@ TEST(CatModelChecks, ShippedModelsParse)
     EXPECT_FALSE(CatModel::fromFile(std::string(GPUMC_CAT_DIR) +
                                     "/ptx-v6.0.cat")
                      .hasFlaggedAxioms());
+}
+
+// --- occurrence polarity -----------------------------------------------
+
+TEST(PolarityWalk, FlipsUnderDiffFollowsLetsAndSkipsSets)
+{
+    CatModel model = CatModel::fromSource(
+        "let hb = (po | rf)+\n"
+        "let fr = rf^-1 ; co\n"
+        "acyclic hb | fr as order\n"
+        "irreflexive (co \\ hb) ; [W] as lost\n"
+        "empty (W * R) \\ loc as pairs");
+    const Axiom &order = model.axioms()[0];
+    const Axiom &lost = model.axioms()[1];
+    const Axiom &pairs = model.axioms()[2];
+    const Expr &hb = *model.lets()[0].expr;
+
+    // `hb` is reached directly from `order` and under the right of `\`
+    // from `lost`; the base relations under it follow.
+    PolarityWalk both(model);
+    both.walk(*order.expr, Polarity::Pos);
+    EXPECT_EQ(both.of(hb), Polarity::Pos);
+    EXPECT_EQ(both.ofBase("rf"), Polarity::Pos);
+    both.walk(*lost.expr, Polarity::Pos);
+    EXPECT_EQ(both.of(hb), Polarity::Both);
+    EXPECT_EQ(both.ofBase("po"), Polarity::Both);
+    EXPECT_EQ(both.ofBase("rf"), Polarity::Both);
+    EXPECT_EQ(both.ofBase("co"), Polarity::Pos);
+    EXPECT_EQ(both.ofBase("loc"), Polarity::None);
+    // Walking a root again changes nothing.
+    both.walk(*lost.expr, Polarity::Pos);
+    EXPECT_EQ(both.ofBase("co"), Polarity::Pos);
+
+    // A root walked from Neg flips everything below it.
+    PolarityWalk flipped(model);
+    flipped.walk(*lost.expr, Polarity::Neg);
+    EXPECT_EQ(flipped.ofBase("co"), Polarity::Neg);
+    EXPECT_EQ(flipped.ofBase("po"), Polarity::Pos);
+    EXPECT_EQ(flipped.of(hb), Polarity::Pos);
+    EXPECT_EQ(flipped.of(*order.expr), Polarity::None);
+
+    // The set operands of `[S]` and `*` are never entered.
+    PolarityWalk sets(model);
+    sets.walk(*lost.expr, Polarity::Pos);
+    sets.walk(*pairs.expr, Polarity::Pos);
+    const Expr &bracket = *lost.expr->rhs;
+    ASSERT_EQ(bracket.kind, ExprKind::Bracket);
+    EXPECT_EQ(sets.of(bracket), Polarity::Pos);
+    EXPECT_EQ(sets.of(*bracket.lhs), Polarity::None);
+    const Expr &product = *pairs.expr->lhs;
+    ASSERT_EQ(product.kind, ExprKind::Cartesian);
+    EXPECT_EQ(sets.of(product), Polarity::Pos);
+    EXPECT_EQ(sets.of(*product.lhs), Polarity::None);
+    EXPECT_EQ(sets.ofBase("loc"), Polarity::Neg);
 }
 
 // --- pair set algebra ---------------------------------------------------

@@ -8,13 +8,10 @@
  * baseline, and budget/deadline handling.
  */
 
-#include <chrono>
 #include <filesystem>
 #include <gtest/gtest.h>
-#include <thread>
 
 #include "dpor/dpor_checker.hpp"
-#include "dpor/monotone.hpp"
 #include "explicit/explicit_checker.hpp"
 #include "fuzz/random_program.hpp"
 #include "litmus/generator.hpp"
@@ -63,7 +60,6 @@ const std::vector<std::string> kUndecidedAtCo = {"co"};
 TEST(DporMonotone, PtxAxiomClassification)
 {
     const cat::CatModel &m = ptx75Model();
-    dpor::PolarityAnalysis pa(m);
 
     const cat::Axiom *cohCause = findAxiom(m, "coherence-causality");
     const cat::Axiom *cohMs = findAxiom(m, "coherence-ms");
@@ -73,86 +69,84 @@ TEST(DporMonotone, PtxAxiomClassification)
     const cat::Axiom *causality = findAxiom(m, "causality");
     ASSERT_TRUE(cohCause && cohMs && fenceSc && atomicity &&
                 noThinAir && causality);
+    auto of = [&](const cat::Axiom *ax) {
+        return dpor::AxiomPolarity(m, *ax);
+    };
 
     // Both coherence axioms subtract co (`\ co`, `\ (co | co^-1)`):
     // antitone, so violations on a partial co cannot be trusted.
-    EXPECT_EQ(pa.polarityOf(*cohCause->expr, "co"), dpor::Polarity::Neg);
-    EXPECT_EQ(pa.polarityOf(*cohMs->expr, "co"), dpor::Polarity::Neg);
-    EXPECT_FALSE(pa.prunableWithPartial(*cohCause, kUndecidedAtCo));
-    EXPECT_FALSE(pa.prunableWithPartial(*cohMs, kUndecidedAtCo));
+    EXPECT_EQ(of(cohCause).of("co"), cat::Polarity::Neg);
+    EXPECT_EQ(of(cohMs).of("co"), cat::Polarity::Neg);
+    EXPECT_FALSE(of(cohCause).prunableWithPartial(kUndecidedAtCo));
+    EXPECT_FALSE(of(cohMs).prunableWithPartial(kUndecidedAtCo));
 
     // fence-sc subtracts sync_fence but never mentions co: it is a
     // constant of the co subtree and prunes it at the root.
-    EXPECT_EQ(pa.polarityOf(*fenceSc->expr, "sync_fence"),
-              dpor::Polarity::Both);
-    EXPECT_TRUE(pa.constantIn(*fenceSc, kUndecidedAtCo));
-    EXPECT_FALSE(pa.prunableWithPartial(*fenceSc, kUndecidedAtRf));
-    EXPECT_TRUE(pa.prunableWithPartial(*fenceSc, kUndecidedAtCo));
+    EXPECT_EQ(of(fenceSc).of("sync_fence"), cat::Polarity::Both);
+    EXPECT_TRUE(of(fenceSc).constantIn(kUndecidedAtCo));
+    EXPECT_FALSE(of(fenceSc).prunableWithPartial(kUndecidedAtRf));
+    EXPECT_TRUE(of(fenceSc).prunableWithPartial(kUndecidedAtCo));
 
     // atomicity and causality are positive in rf and co (through `fr`
     // and `cause`); no-thin-air is rf-only. All three are usable from
     // the very first rf decision.
     for (const cat::Axiom *ax : {atomicity, noThinAir, causality}) {
-        EXPECT_EQ(pa.polarityOf(*ax->expr, "rf"), dpor::Polarity::Pos)
+        EXPECT_EQ(of(ax).of("rf"), cat::Polarity::Pos) << ax->name;
+        EXPECT_TRUE(of(ax).prunableWithPartial(kUndecidedAtRf))
             << ax->name;
-        EXPECT_TRUE(pa.prunableWithPartial(*ax, kUndecidedAtRf))
-            << ax->name;
-        EXPECT_TRUE(pa.prunableWithPartial(*ax, kUndecidedAtCo))
+        EXPECT_TRUE(of(ax).prunableWithPartial(kUndecidedAtCo))
             << ax->name;
     }
-    EXPECT_EQ(pa.polarityOf(*atomicity->expr, "co"),
-              dpor::Polarity::Pos);
-    EXPECT_EQ(pa.polarityOf(*causality->expr, "co"),
-              dpor::Polarity::Pos);
-    EXPECT_EQ(pa.polarityOf(*noThinAir->expr, "co"),
-              dpor::Polarity::None);
+    EXPECT_EQ(of(atomicity).of("co"), cat::Polarity::Pos);
+    EXPECT_EQ(of(causality).of("co"), cat::Polarity::Pos);
+    EXPECT_EQ(of(noThinAir).of("co"), cat::Polarity::None);
 }
 
 TEST(DporMonotone, VulkanAxiomClassification)
 {
     const cat::CatModel &m = vulkanModel();
-    dpor::PolarityAnalysis pa(m);
 
     const cat::Axiom *atomicity = findAxiom(m, "atomicity");
     const cat::Axiom *cycle = findAxiom(m, "consistency-cycle");
     const cat::Axiom *race = findAxiom(m, "race");
     ASSERT_TRUE(atomicity && cycle && race);
+    auto of = [&](const cat::Axiom *ax) {
+        return dpor::AxiomPolarity(m, *ax);
+    };
 
     // Only atomicity is monotone in co: every other axiom reaches co
     // through `rs` / `locord`, whose immediate-asmo-edge pattern
     // (`asmo \ (asmo; asmo+)`) mixes polarities.
-    EXPECT_EQ(pa.polarityOf(*atomicity->expr, "co"),
-              dpor::Polarity::Pos);
-    EXPECT_TRUE(pa.prunableWithPartial(*atomicity, kUndecidedAtCo));
-    EXPECT_EQ(pa.polarityOf(*cycle->expr, "co"), dpor::Polarity::Both);
-    EXPECT_FALSE(pa.prunableWithPartial(*cycle, kUndecidedAtCo));
+    EXPECT_EQ(of(atomicity).of("co"), cat::Polarity::Pos);
+    EXPECT_TRUE(of(atomicity).prunableWithPartial(kUndecidedAtCo));
+    EXPECT_EQ(of(cycle).of("co"), cat::Polarity::Both);
+    EXPECT_FALSE(of(cycle).prunableWithPartial(kUndecidedAtCo));
     for (const char *name :
          {"coherence", "read-from", "locord-complete"}) {
         const cat::Axiom *ax = findAxiom(m, name);
         ASSERT_TRUE(ax) << name;
-        EXPECT_FALSE(pa.prunableWithPartial(*ax, kUndecidedAtCo))
-            << name;
+        EXPECT_FALSE(of(ax).prunableWithPartial(kUndecidedAtCo)) << name;
     }
 
     // Flag axioms never prune, and the Vulkan race flag depends on co
     // (through locord), so racy leaves cannot be skipped per subtree.
-    EXPECT_FALSE(pa.prunableWithPartial(*race, kUndecidedAtCo));
-    EXPECT_FALSE(pa.constantIn(*race, kUndecidedAtCo));
+    EXPECT_FALSE(of(race).prunableWithPartial(kUndecidedAtCo));
+    EXPECT_FALSE(of(race).constantIn(kUndecidedAtCo));
 }
 
 TEST(DporMonotone, PolarityAlgebra)
 {
-    using dpor::Polarity;
-    EXPECT_EQ(dpor::joinPolarity(Polarity::None, Polarity::Neg),
+    using cat::Polarity;
+    EXPECT_EQ(cat::joinPolarity(Polarity::None, Polarity::Neg),
               Polarity::Neg);
-    EXPECT_EQ(dpor::joinPolarity(Polarity::Pos, Polarity::Pos),
+    EXPECT_EQ(cat::joinPolarity(Polarity::Pos, Polarity::Pos),
               Polarity::Pos);
-    EXPECT_EQ(dpor::joinPolarity(Polarity::Pos, Polarity::Neg),
+    EXPECT_EQ(cat::joinPolarity(Polarity::Pos, Polarity::Neg),
               Polarity::Both);
-    EXPECT_EQ(dpor::flipPolarity(Polarity::Pos), Polarity::Neg);
-    EXPECT_EQ(dpor::flipPolarity(Polarity::Neg), Polarity::Pos);
-    EXPECT_EQ(dpor::flipPolarity(Polarity::Both), Polarity::Both);
-    EXPECT_EQ(dpor::flipPolarity(Polarity::None), Polarity::None);
+    EXPECT_EQ(cat::flipPolarity(Polarity::Pos), Polarity::Neg);
+    EXPECT_EQ(cat::flipPolarity(Polarity::Neg), Polarity::Pos);
+    EXPECT_EQ(cat::flipPolarity(Polarity::Both), Polarity::Both);
+    EXPECT_EQ(cat::flipPolarity(Polarity::None), Polarity::None);
 }
 
 // ---------------------------------------------------------------------
@@ -362,8 +356,7 @@ exists (P4:r0 == 1 /\ P4:r1 == 2)
 }
 
 // ---------------------------------------------------------------------
-// Budgets: maxCandidates and the external Deadline both stop the
-// exploration loop with timedOut set.
+// Budgets: maxCandidates stops the exploration loop with timedOut set.
 // ---------------------------------------------------------------------
 
 // `forall (true)` can never settle early, forcing a full exploration.
@@ -406,17 +399,6 @@ TEST(DporChecker, ExhaustiveRunPrunesNothing)
         EXPECT_EQ(r.consistencyChecks, r.candidatesExplored)
             << program.name;
     }
-}
-
-TEST(DporChecker, HonorsExternalDeadline)
-{
-    dpor::DporOptions options;
-    options.deadline = Deadline::in(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    dpor::DporResult r = runDpor(kBigPtxProgram, options);
-    ASSERT_TRUE(r.supported);
-    EXPECT_TRUE(r.timedOut);
-    EXPECT_EQ(r.candidatesExplored, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -107,7 +107,8 @@ struct MirroredContext {
     MirroredContext(const prog::UnrolledProgram &up,
                     const cat::CatModel &model,
                     std::map<std::string, PairSet> statics)
-        : rels(statics), context(up, model, std::move(statics))
+        : rels(statics),
+          context(up, analysis::everyEvent(up), model, std::move(statics))
     {
     }
 
@@ -122,7 +123,7 @@ struct MirroredContext {
 matchesFresh(MirroredContext &graph, const prog::UnrolledProgram &up,
              const cat::CatModel &model)
 {
-    analysis::ConcreteView view(up, graph.rels);
+    analysis::ConcreteView view(up, analysis::everyEvent(up), graph.rels);
     cat::RelationEvaluator fresh(model, view);
     cat::RelationEvaluator &reused = graph.context.evaluator();
     if (reused.consistent() != fresh.consistent())
@@ -244,7 +245,9 @@ walkCandidates(const std::string &file, const cat::CatModel &model)
     analysis::ExecAnalysis exec(up);
     analysis::RelationAnalysis ra(exec, model);
     analysis::ValueSimulation sim(program, up);
-    MirroredContext graph(up, model, analysis::concreteStaticRels(ra));
+    const std::vector<int> events = analysis::everyEvent(up);
+    MirroredContext graph(up, model,
+                          analysis::concreteStaticRels(ra, events));
 
     std::vector<int> reads;
     for (int e = up.numInitEvents; e < up.numEvents(); ++e) {
@@ -275,7 +278,8 @@ walkCandidates(const std::string &file, const cat::CatModel &model)
                 rf.add(rfChoice[i], reads[i]);
             graph.set("rf", rf);
             for (const auto &[name, rel] :
-                 analysis::concreteBarrierRels(ra, sim.barrierIds())) {
+                 analysis::concreteBarrierRels(ra, events,
+                                               sim.barrierIds())) {
                 graph.set(name, rel);
                 std::pair<std::string, PairSet> seen(name, rel);
                 if (std::find(stats.barriers.begin(), stats.barriers.end(),

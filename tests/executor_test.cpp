@@ -2,30 +2,23 @@
  * @file
  * serve::Executor and serve::CompletionQueue: admission control,
  * drain/rethrow semantics, thread-budget degradation and in-order
- * completion delivery — plus the BatchVerifier progress-delivery
- * regression: a completion consumer that waits on the rest of the
- * workload must not stall (or deadlock) the verification workers, as
- * it did when progress callbacks ran on a worker under the progress
- * mutex.
+ * completion delivery — including a completion consumer that waits on
+ * the rest of the workload, which must not stall (or deadlock) the
+ * workers.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/batch_verifier.hpp"
 #include "serve/completion_queue.hpp"
 #include "serve/executor.hpp"
 #include "support/thread_budget.hpp"
-#include "tests/test_util.hpp"
 
 namespace gpumc::test {
 namespace {
@@ -170,14 +163,12 @@ TEST(CompletionQueue, SlowConsumerDoesNotBlockProducers)
 
 TEST(CompletionQueue, BlockedConsumerDoesNotStallExecutorWorkers)
 {
-    // Regression for the BatchVerifier progress-lock bug: progress
-    // used to be delivered on the worker itself, under the progress
-    // mutex, so a completion callback waiting for the *rest of the
-    // workload to compute* wedged the whole pool (the other workers
-    // blocked on the mutex; the computation the callback waited for
-    // never ran). With the drain design, workers only pay for the
-    // enqueue, so every callback below eventually observes all tasks
-    // computed.
+    // Delivered on the worker itself under a lock, a completion
+    // callback waiting for the *rest of the workload to compute* would
+    // wedge the whole pool (the other workers blocked on the lock; the
+    // computation the callback waited for never ran). With the drain,
+    // workers only pay for the enqueue, so every callback below
+    // eventually observes all tasks computed.
     serve::Executor exec(2);
     serve::CompletionQueue drain;
     constexpr int total = 8;
@@ -201,45 +192,6 @@ TEST(CompletionQueue, BlockedConsumerDoesNotStallExecutorWorkers)
     drain.flush();
     EXPECT_EQ(computed.load(), total);
     EXPECT_EQ(sawAllComputed.load(), total);
-}
-
-TEST(BatchVerifierProgress, SerializedOffWorkersAndComplete)
-{
-    // The ProgressFn contract: every index delivered exactly once, on
-    // one dedicated thread that is neither the caller nor a worker.
-    prog::Program mp =
-        litmus::parseLitmusFile(litmusPath("ptx/basic/mp-weak.litmus"));
-    prog::Program sb =
-        litmus::parseLitmusFile(litmusPath("ptx/basic/sb-weak.litmus"));
-
-    std::vector<core::BatchJob> batch;
-    for (const prog::Program *program : {&mp, &sb}) {
-        core::BatchJob job;
-        job.program = program;
-        job.model = &modelFor(*program);
-        job.property = core::Property::Safety;
-        job.label = program->name;
-        batch.push_back(std::move(job));
-    }
-
-    std::mutex mutex;
-    std::set<std::thread::id> threads;
-    std::vector<size_t> indices;
-    std::vector<core::BatchEntry> entries = core::BatchVerifier(2).run(
-        batch, [&](size_t index, const core::BatchEntry &entry) {
-            std::lock_guard<std::mutex> lock(mutex);
-            threads.insert(std::this_thread::get_id());
-            indices.push_back(index);
-            EXPECT_FALSE(entry.failed) << entry.error;
-        });
-
-    ASSERT_EQ(entries.size(), batch.size());
-    EXPECT_EQ(indices.size(), batch.size());
-    std::sort(indices.begin(), indices.end());
-    for (size_t i = 0; i < indices.size(); ++i)
-        EXPECT_EQ(indices[i], i);
-    EXPECT_EQ(threads.size(), 1u);
-    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
 }
 
 } // namespace

@@ -83,6 +83,34 @@ exists (true)
                  FatalError);
 }
 
+TEST(LitmusStructure, BadIntegerLiteralsAreInputErrors)
+{
+    // Each literal is past its field's range (or no number at all), so
+    // the input is rejected rather than the process aborted.
+    auto program = [](const char *prelude, const char *header,
+                      const char *store, const char *cond) {
+        return std::string("PTX\n") + prelude + header +
+               " | P1@cta 0,gpu 0 ;\n" + store +
+               " | ld.weak r0, x ;\nexists (" + cond + ")\n";
+    };
+    EXPECT_NO_THROW(parseLitmus(program("", "P0@cta 0,gpu 0",
+                                        "st.weak x, 1", "P1:r0 == 1")));
+    for (const std::string &source :
+         {program("", "P0@cta 0,gpu 0", "st.weak x, 99999999999999999999",
+                  "P1:r0 == 1"),
+          program("", "P0@cta 99999999999,gpu 0", "st.weak x, 1",
+                  "P1:r0 == 1"),
+          program("{ x = 99999999999999999999; }\n", "P0@cta 0,gpu 0",
+                  "st.weak x, 1", "P1:r0 == 1"),
+          program("", "P0@cta 0,gpu 0", "st.weak x, 1",
+                  "P1:r0 == 99999999999999999999"),
+          program("", "P0@cta 0,gpu 0", "st.weak x, 1",
+                  "P99999999999:r0 == 1"),
+          program("", "P0@cta 0,gpu 0", "st.weak x, 1", "P1:r0 == -")}) {
+        EXPECT_THROW(parseLitmus(source), FatalError) << source;
+    }
+}
+
 TEST(LitmusStructure, ThreadColumnsAreNamedByIndex)
 {
     // Conditions read `P1:r0` as column 1, so a header naming column 0

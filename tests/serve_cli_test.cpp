@@ -433,6 +433,35 @@ TEST(ServeCli, BadBoundAnswersAnErrorAndTheDaemonLives)
     EXPECT_EQ(daemon.terminate(), 0);
 }
 
+TEST(ServeCli, BadLiteralAnswersAnErrorAndTheDaemonLives)
+{
+    // The parser used to throw std::out_of_range here, which nothing
+    // caught: the daemon aborted before the next request.
+    Daemon daemon;
+    ASSERT_TRUE(daemon.running());
+    Client client(daemon.port());
+    ASSERT_TRUE(client.connected());
+
+    std::string source = readFile(litmusPath("ptx/basic/sb-weak.litmus"));
+    const std::string literal = "99999999999999999999";
+    source.replace(source.find("st.weak x, 1") + 11, 1, literal);
+    JsonValue bad = parsed(client.roundTrip(
+        "{\"id\":1,\"litmus\":" + jsonString(source) +
+        ",\"model\":\"ptx-v6.0\"}"));
+    ASSERT_NE(bad.find("status"), nullptr);
+    EXPECT_EQ(bad.find("status")->text, "error");
+    ASSERT_NE(bad.find("message"), nullptr);
+    EXPECT_NE(bad.find("message")->text.find(literal), std::string::npos)
+        << bad.find("message")->text;
+
+    JsonValue pong =
+        parsed(client.roundTrip(R"({"id":2,"op":"ping"})"));
+    ASSERT_NE(pong.find("status"), nullptr);
+    EXPECT_EQ(pong.find("status")->text, "ok");
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
 TEST(ServeCli, StdioModeServesAPipe)
 {
     // The default transport: requests on stdin, responses on stdout,

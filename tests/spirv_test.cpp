@@ -122,6 +122,32 @@ OpFunctionEnd
                  FatalError);
 }
 
+TEST(SpirvParser, BadIntegerLiteralsAreInputErrors)
+{
+    auto kernel = [](const std::string &grid, const std::string &one) {
+        return "; @grid " + grid + R"(
+OpName %x "x"
+%uint = OpTypeInt 32 0
+%uint_1 = OpConstant %uint )" + one + R"(
+%ptr = OpTypePointer StorageBuffer %uint
+%x = OpVariable %ptr StorageBuffer
+%void = OpTypeVoid
+%main = OpFunction %void None %fn
+%entry = OpLabel
+OpStore %x %uint_1
+OpReturn
+OpFunctionEnd
+)";
+    };
+    EXPECT_NO_THROW(spirv::loadSpirvProgram(kernel("2.2", "1")));
+    EXPECT_THROW(spirv::loadSpirvProgram(kernel("2.2", "one")), FatalError);
+    EXPECT_THROW(
+        spirv::loadSpirvProgram(kernel("2.2", "99999999999999999999")),
+        FatalError);
+    EXPECT_THROW(spirv::loadSpirvProgram(kernel("99999999999.2", "1")),
+                 FatalError);
+}
+
 TEST(SpirvCorpus, MeetsExpectations)
 {
     int checked = 0;
