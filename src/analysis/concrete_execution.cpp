@@ -84,6 +84,18 @@ quantifiedConditionHolds(prog::AssertKind kind, bool trueSomewhere,
     return false;
 }
 
+namespace {
+
+/** a + b without signed overflow: literals span all of int64_t. */
+int64_t
+wrappingAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+} // namespace
+
 bool
 ValueSimulation::simulate(const std::vector<int> &reads,
                           const std::vector<int> &rfChoice)
@@ -94,7 +106,7 @@ ValueSimulation::simulate(const std::vector<int> &reads,
     barrierIds_.clear();
     finalRegs_.clear();
     for (int e = 0; e < up_->numInitEvents; ++e)
-        values_[e] = up_->events[e].initValue & kConcreteValueMask;
+        values_[e] = up_->events[e].initValue;
 
     // Fix-point passes; each pass may resolve more reads.
     bool changed = true;
@@ -123,7 +135,7 @@ ValueSimulation::enumerateUnresolved(const std::vector<int> &unresolved,
     if (index == unresolved.size())
         return finishSimulation();
     for (int64_t v : program_->valueUniverse()) {
-        values_[(*reads_)[unresolved[index]]] = v & kConcreteValueMask;
+        values_[(*reads_)[unresolved[index]]] = v;
         if (enumerateUnresolved(unresolved, index + 1))
             return true;
     }
@@ -154,7 +166,7 @@ ValueSimulation::simulatePass(bool &changed)
         auto evalOp =
             [&](const prog::Operand &op) -> std::optional<int64_t> {
             if (!op.isReg())
-                return op.value & kConcreteValueMask;
+                return op.value;
             auto it = env.find(op.reg);
             if (it == env.end())
                 return 0; // unassigned registers read 0
@@ -163,10 +175,9 @@ ValueSimulation::simulatePass(bool &changed)
         auto setValue = [&](int event, std::optional<int64_t> v) {
             if (!v)
                 return;
-            int64_t masked = *v & kConcreteValueMask;
             auto it = values_.find(event);
-            if (it == values_.end() || it->second != masked) {
-                values_[event] = masked;
+            if (it == values_.end() || it->second != *v) {
+                values_[event] = *v;
                 changed = true;
             }
         };
@@ -209,7 +220,8 @@ ValueSimulation::simulatePass(bool &changed)
                 std::optional<int64_t> operand = evalOp(ins.src);
                 if (ins.rmwKind == RmwKind::Add) {
                     if (old && operand)
-                        setValue(node.writeEvent, *old + *operand);
+                        setValue(node.writeEvent,
+                                 wrappingAdd(*old, *operand));
                 } else { // Exchange
                     setValue(node.writeEvent, operand);
                 }
@@ -219,7 +231,7 @@ ValueSimulation::simulatePass(bool &changed)
               case Opcode::Barrier: {
                 std::optional<int64_t> id = evalOp(ins.barrierId);
                 if (id)
-                    barrierIds_[node.eventId] = *id & kConcreteValueMask;
+                    barrierIds_[node.eventId] = *id;
                 break;
               }
               case Opcode::Mov:
@@ -227,10 +239,9 @@ ValueSimulation::simulatePass(bool &changed)
                 break;
               case Opcode::AddReg: {
                 auto a = evalOp(ins.branchLhs), b = evalOp(ins.src);
-                env[ins.dst] = (a && b)
-                    ? std::optional<int64_t>(
-                          (*a + *b) & kConcreteValueMask)
-                    : std::nullopt;
+                env[ins.dst] = std::nullopt;
+                if (a && b)
+                    env[ins.dst] = wrappingAdd(*a, *b);
                 break;
               }
               default:

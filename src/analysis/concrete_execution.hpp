@@ -28,11 +28,6 @@
 
 namespace gpumc::analysis {
 
-/** Simulated values are truncated to this many bits (matching the SMT
- *  encoder's default value width for litmus-scale programs). */
-constexpr int kConcreteValueBits = 8;
-constexpr int64_t kConcreteValueMask = (1 << kConcreteValueBits) - 1;
-
 /**
  * The base relations an execution chooses. Every other base relation
  * of the vocabulary is static: the program fixes it.
@@ -128,7 +123,9 @@ bool quantifiedConditionHolds(prog::AssertKind kind, bool trueSomewhere,
  * Value simulation of a straight-line unrolled program under one rf
  * assignment: fix-point register propagation, enumeration of
  * value-dependency cycles over the program's value universe, and
- * rf value-consistency validation.
+ * rf value-consistency validation. Values are plain integers; the SMT
+ * encoding sizes its bit-vectors from the same universe
+ * (Program::suggestedValueBits).
  */
 class ValueSimulation {
   public:

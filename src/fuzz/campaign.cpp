@@ -11,7 +11,6 @@
 #include "litmus/litmus_emitter.hpp"
 #include "litmus/litmus_parser.hpp"
 #include "support/diagnostics.hpp"
-#include "support/thread_budget.hpp"
 
 namespace gpumc::fuzz {
 
@@ -34,13 +33,28 @@ caseTag(size_t index)
     return buf;
 }
 
-/** Reproduce-by-hand command for a repro file header. */
+/** The gpumc command line that runs @p side on a repro file. */
 std::string
-reproCommand(const std::string &file, const std::string &model,
-             const char *backend, int bound)
+gpumcCommand(const std::string &file, const std::string &model,
+             const OracleSide &side)
 {
-    return "gpumc " + file + " " + model + ".cat --backend=" + backend +
-           " --bound=" + std::to_string(bound);
+    const core::VerifierOptions &vo = side.options;
+    std::string out = "gpumc " + file + " " + model + ".cat";
+    if (vo.engine != core::Engine::Smt) {
+        out += vo.engine == core::Engine::Dpor ? " --engine=dpor"
+                                               : " --engine=explicit";
+    } else {
+        out += vo.backend == smt::BackendKind::Z3 ? " --backend=z3"
+                                                  : " --backend=builtin";
+        out += " --bound=" + std::to_string(vo.bound);
+        if (vo.cubeDepth > 0)
+            out += " --cube-depth=" + std::to_string(vo.cubeDepth);
+        if (vo.clauseShare == smt::ClauseShareMode::Cube)
+            out += " --clause-share=cube";
+    }
+    if (side.properties.size() > 1 && !side.fresh)
+        out += " --all-properties";
+    return out;
 }
 
 } // namespace
@@ -66,90 +80,41 @@ runCampaign(const CampaignOptions &options)
     }
     log += "\n";
 
-    // Phase 1: generate. Sequential so the stream depends only on the
-    // seed; deques keep pointers stable for the batch jobs.
-    std::deque<prog::Program> programs;
+    // Phase 1: generate, and emit and reparse for the round-trip
+    // oracle. Sequential so the stream depends only on the seed; deques
+    // keep pointers stable for the batch jobs.
+    std::deque<prog::Program> programs, reparsed;
+    std::vector<std::string> reparseErrors(static_cast<size_t>(runs));
     result.cases.resize(static_cast<size_t>(runs));
     for (int i = 0; i < runs; ++i) {
-        result.cases[static_cast<size_t>(i)].caseSeed =
+        const size_t n = static_cast<size_t>(i);
+        result.cases[n].caseSeed =
             mixSeed(options.seed, static_cast<uint64_t>(i));
         programs.push_back(randomProgram(
             options.seed, static_cast<uint64_t>(i), options.config));
+        reparseErrors[n] = reparse(programs[n], reparsed.emplace_back());
     }
 
-    // Phase 2: emit + reparse for the round-trip oracle (cheap, no
-    // solver involved — sequential keeps it deterministic trivially).
-    std::deque<prog::Program> reparsed;
-    std::vector<std::string> reparseErrors(static_cast<size_t>(runs));
-    std::vector<char> reparseOk(static_cast<size_t>(runs), 0);
-    if (oracle.roundTrip) {
-        for (int i = 0; i < runs; ++i) {
-            const size_t n = static_cast<size_t>(i);
-            try {
-                reparsed.push_back(litmus::parseLitmus(
-                    litmus::emitLitmus(programs[n])));
-                reparseOk[n] = 1;
-            } catch (const std::exception &error) {
-                reparsed.emplace_back();
-                reparseErrors[n] = error.what();
-            }
-        }
-    }
-
-    // Phase 3: every engine run of every case as one flat batch
-    // through BatchVerifier — this is the campaign fan-out.
-    std::vector<OracleSlots> slots(static_cast<size_t>(runs));
-    std::vector<core::BatchJob> batch;
+    // Phase 2: every run of every case's oracles, fanned out as one
+    // BatchVerifier batch (plus session-reuse's fresh Verifiers).
+    const std::vector<Oracle> oracles = makeOracles(oracle, model);
+    std::vector<std::vector<Oracle>> caseOracles(static_cast<size_t>(runs),
+                                                 oracles);
+    OracleJobs jobs;
     for (int i = 0; i < runs; ++i) {
         const size_t n = static_cast<size_t>(i);
-        slots[n] = addOracleJobs(programs[n],
-                                 reparseOk[n] ? &reparsed[n] : nullptr,
-                                 model, oracle, "case " + caseTag(n),
-                                 batch);
+        addOracleJobs(programs[n],
+                      reparseErrors[n].empty() ? &reparsed[n] : nullptr,
+                      model, caseOracles[n], "case " + caseTag(n), jobs);
     }
-    core::BatchVerifier engine(options.jobs);
-    const std::vector<core::BatchEntry> entries = engine.run(batch);
+    const std::vector<core::BatchEntry> entries = jobs.run(options.jobs);
 
-    // Phase 4: the session-reuse differential, self-contained per
-    // case (shared checkAll() vs fresh sessions on both backends), so
-    // it fans out directly instead of going through the batch.
-    std::vector<OracleOutcome> reuseOutcomes(static_cast<size_t>(runs));
-    if (oracle.sessionReuse) {
-        parallelFor(runs, options.jobs, [&](int64_t i) {
-            const size_t n = static_cast<size_t>(i);
-            reuseOutcomes[n] =
-                sessionReuseOracle(programs[n], model, oracle);
-        });
-    }
-
-    // Phase 5: the clause-sharing differential, likewise
-    // self-contained per case (cube-sharing checkAll() vs the
-    // sharing-off baseline on the builtin backend); the cube workers
-    // draw on the same thread budget as these workers, so --jobs stays
-    // a global cap. Sharing makes search timing-dependent, which is
-    // exactly what the oracle must show never reaches the verdicts.
-    std::vector<OracleOutcome> sharingOutcomes(
-        static_cast<size_t>(runs));
-    if (oracle.clauseSharing) {
-        parallelFor(runs, options.jobs, [&](int64_t i) {
-            const size_t n = static_cast<size_t>(i);
-            sharingOutcomes[n] =
-                clauseSharingOracle(programs[n], model, oracle);
-        });
-    }
-
-    // Phase 6: compare, sequentially in input order.
+    // Phase 3: compare, sequentially in input order.
     std::vector<size_t> disagreeing;
     for (int i = 0; i < runs; ++i) {
         const size_t n = static_cast<size_t>(i);
-        OracleReport report = compareOracles(
-            oracleInputs(programs[n], model, slots[n], entries,
-                         reparseErrors[n]),
-            oracle);
-        if (oracle.sessionReuse)
-            report.outcomes.push_back(reuseOutcomes[n]);
-        if (oracle.clauseSharing)
-            report.outcomes.push_back(sharingOutcomes[n]);
+        OracleReport report = compareOracles(programs[n], caseOracles[n],
+                                             entries, reparseErrors[n]);
         for (const OracleOutcome &o : report.outcomes) {
             result.oracleChecks++;
             switch (o.verdict) {
@@ -182,7 +147,7 @@ runCampaign(const CampaignOptions &options)
            " disagree=" + std::to_string(result.disagreements) +
            " errors=" + std::to_string(result.errors) + "\n";
 
-    // Phase 7: shrink the first few disagreeing cases and write repros.
+    // Phase 4: shrink the first few disagreeing cases and write repros.
     if (options.shrink) {
         int budget = options.maxShrinks;
         for (size_t n : disagreeing) {
@@ -199,9 +164,8 @@ runCampaign(const CampaignOptions &options)
             GPUMC_ASSERT(bad, "disagreeing case without disagreement");
 
             const OracleKind kind = bad->kind;
-            const OracleOptions focus = oracle.only(kind);
             auto stillFails = [&](const prog::Program &candidate) {
-                OracleReport r = runOracles(candidate, model, focus);
+                OracleReport r = runOracles(candidate, model, oracle, kind);
                 const OracleOutcome *o = r.find(kind);
                 return o && o->verdict == OracleVerdict::Disagree;
             };
@@ -231,49 +195,18 @@ runCampaign(const CampaignOptions &options)
                     hexSeed(result.cases[n].caseSeed) + "\n";
             const std::string fileName =
                 shrunk.program.name + "-" + oracleName(kind) + ".litmus";
-            if (kind == OracleKind::Z3VsBuiltin) {
-                text += "// reproduce: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        "\n";
-                text += "//       vs: " +
-                        reproCommand(fileName, options.modelName, "z3",
-                                     oracle.effectiveZ3Bound()) +
-                        "\n";
-            } else if (kind == OracleKind::BoundMono) {
-                text += "// reproduce: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        "\n";
-                text += "//       vs: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound + 1) +
-                        "\n";
-            } else if (kind == OracleKind::Dpor ||
-                       kind == OracleKind::SmtVsExplicit) {
-                text += "// reproduce: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        "\n";
-                text += "//       vs: gpumc " + fileName + " " +
-                        options.modelName + ".cat --engine=" +
-                        (kind == OracleKind::Dpor ? "dpor" : "explicit") +
-                        "\n";
-            } else if (kind == OracleKind::ClauseSharing) {
-                text += "// reproduce: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        " --all-properties --clause-share=off\n";
-                text += "//       vs: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        " --all-properties --clause-share=cube "
-                        "--cube-depth=2\n";
-            } else {
-                text += "// reproduce: " +
-                        reproCommand(fileName, options.modelName,
-                                     "builtin", oracle.bound) +
-                        "\n";
+            for (const Oracle &o : oracles) {
+                if (o.kind != kind)
+                    continue;
+                for (const auto &[reference, variant] : o.pairs) {
+                    const std::string ref = gpumcCommand(
+                        fileName, options.modelName, reference);
+                    const std::string var = gpumcCommand(
+                        fileName, options.modelName, variant);
+                    text += "// reproduce: " + ref + "\n";
+                    if (var != ref)
+                        text += "//       vs: " + var + "\n";
+                }
             }
             text += litmus::emitLitmus(shrunk.program);
 

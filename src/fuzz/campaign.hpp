@@ -1,10 +1,11 @@
 /**
  * @file
  * Fuzz campaign driver: generates a deterministic stream of random
- * programs, fans every engine run the comparing oracles need (SMT,
- * DPOR and explicit) out across worker threads through one
- * core::BatchVerifier run, cross-checks the verdicts, and auto-shrinks
- * any disagreeing case into a minimal `.litmus` repro file.
+ * programs, fans every engine run of every oracle out across worker
+ * threads through one core::BatchVerifier run (only session-reuse's
+ * fresh Verifiers run beside it), cross-checks the verdicts, and
+ * auto-shrinks any disagreeing case into a minimal `.litmus` repro
+ * file whose header holds the gpumc command line of each side.
  *
  * Determinism: for a fixed seed the verdict log is byte-identical for
  * any worker count — programs are generated sequentially from per-case

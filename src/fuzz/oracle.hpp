@@ -1,46 +1,50 @@
 /**
  * @file
- * Differential oracle harness: runs one program through several
- * independent engines and cross-checks the verdicts. Seven oracles:
+ * Differential oracle harness: runs one program through several engine
+ * configurations and cross-checks the verdicts. Each oracle is data
+ * (an Oracle): pairs of a reference side and a variant side, each a
+ * program, a core::VerifierOptions and the properties checked, plus the
+ * relation their verdicts must satisfy. Seven oracles, in log order:
  *
- *  - roundtrip:       emit litmus text, reparse, same SMT verdict
- *  - smt-vs-explicit: SMT engine vs the explicit-state enumerator
- *                     (safety and, for flagged models, DRF). When the
- *                     explicit checker cannot handle the program it is
- *                     reported as SKIPPED with the reason — never
- *                     silently counted as agreement.
+ *  - roundtrip:       builtin SMT on the program vs on its emitted and
+ *                     reparsed litmus text
+ *  - smt-vs-explicit: builtin SMT vs the explicit-state baseline
+ *                     (safety and, for flagged models, DRF)
  *  - z3-vs-builtin:   the two SMT backends on identical encodings
- *  - bound-mono:      metamorphic check — a violation witnessed at
+ *  - bound-mono:      metamorphic check: a violation witnessed at
  *                     unroll bound k must persist at bound k+1
- *  - session-reuse:   checkAll() on one shared incremental session
- *                     must agree verdict-for-verdict (including detail
- *                     strings, with witness validation on) with three
- *                     fresh-session checks, on both backends
- *  - clause-sharing:  the builtin backend with cube-scope clause
- *                     sharing (cube depth 2) must agree on
- *                     holds/unknown with the sharing-off baseline —
- *                     imported clauses must never flip a verdict
- *  - dpor:            the DPOR stateless model-checking engine vs the
- *                     SMT verdicts (safety and, for flagged models,
- *                     DRF) — a third, structurally different engine
- *                     next to smt-vs-explicit; unsupported programs
- *                     are SKIPPED with the reason
+ *  - dpor:            builtin SMT vs the DPOR stateless model-checking
+ *                     engine, like smt-vs-explicit
+ *  - session-reuse:   (opt-in) the shared builtin and z3 sessions,
+ *                     every property, vs one fresh Verifier per
+ *                     property; the detail strings must match too
+ *  - clause-sharing:  (opt-in) the shared builtin session vs the
+ *                     builtin backend with cube-scope clause sharing
+ *                     at cube depth 2: imported clauses must never flip
+ *                     a verdict
  *
- * Every engine run the comparing oracles need, the enumerative ones
- * included, is a core::BatchJob (addOracleJobs), so the campaign
- * driver fans all of them out through one core::BatchVerifier run and
- * compareOracles reads their results (oracleInputs). runOracles does
- * the same for a single program, for the shrinker and the tests.
+ * addOracleJobs puts every side of every oracle into one batch
+ * (OracleJobs), where sides asking for the same run share its job and
+ * equal session keys share a session; only session-reuse's fresh
+ * Verifiers run beside it. compareOracles screens and compares every
+ * oracle from the resulting core::BatchEntry list. A
+ * program the enumerative engines cannot check is reported as SKIPPED
+ * with their reason, never as agreement.
  */
 
 #ifndef GPUMC_FUZZ_ORACLE_HPP
 #define GPUMC_FUZZ_ORACLE_HPP
 
+#include <map>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cat/model.hpp"
 #include "core/batch_verifier.hpp"
+#include "core/session_key.hpp"
 #include "program/program.hpp"
 
 namespace gpumc::fuzz {
@@ -50,9 +54,9 @@ enum class OracleKind {
     SmtVsExplicit,
     Z3VsBuiltin,
     BoundMono,
+    Dpor,
     SessionReuse,
-    ClauseSharing,
-    Dpor
+    ClauseSharing
 };
 
 const char *oracleName(OracleKind kind);
@@ -89,154 +93,129 @@ struct OracleOptions {
      */
     int z3Bound = 0;
 
-    bool roundTrip = true;
-    bool smtVsExplicit = true;
-    bool z3VsBuiltin = true;
-    bool boundMono = true;
-    /**
-     * Shared-session vs fresh-session differential (self-contained in
-     * runOracles; compareOracles has no inputs for it). Off by default:
-     * it re-verifies every property twice per backend, so campaigns
-     * opt in explicitly.
-     */
+    /** Also run session-reuse: one fresh Verifier per property and
+     *  backend on top of the shared sessions. */
     bool sessionReuse = false;
-    /**
-     * Sharing-on vs sharing-off differential on the builtin backend
-     * (self-contained in runOracles, like sessionReuse). Off by
-     * default: it re-verifies every property twice.
-     */
+    /** Also run clause-sharing: every property again on the builtin
+     *  backend with cube depth 2. */
     bool clauseSharing = false;
-    /**
-     * DPOR-vs-SMT differential. Off by default: it explores every case
-     * through a third engine.
-     */
-    bool dpor = false;
 
-    /** Budget of each enumerative (explicit or DPOR) check: a candidate
-     *  cap and a wall-clock budget in milliseconds. */
+    /** Candidate cap of each enumerative (explicit or DPOR) check. */
     uint64_t enumerativeMaxCandidates = 50000;
-    int64_t enumerativeTimeoutMs = 3000;
+    /** Wall-clock budget of every check, SMT or enumerative, in
+     *  milliseconds (0 = none). Off by default, so whether a check runs
+     *  out of budget, and with it the log, does not depend on machine
+     *  load. */
     int64_t solverTimeoutMs = 0;
 
     int effectiveZ3Bound() const { return z3Bound > 0 ? z3Bound : bound; }
-    /** Restrict to a single oracle (shrinker predicates). */
-    OracleOptions only(OracleKind kind) const;
 };
 
-/** Outcome of one engine invocation, for compareOracles. */
-struct EngineRun {
-    bool ran = false;
-    /** The engine threw; `error` holds the message. */
-    bool failed = false;
-    std::string error;
-    core::VerificationResult result;
-
-    static EngineRun of(core::VerificationResult r)
-    {
-        EngineRun run;
-        run.ran = true;
-        run.result = std::move(r);
-        return run;
-    }
-    static EngineRun failure(std::string message)
-    {
-        EngineRun run;
-        run.ran = true;
-        run.failed = true;
-        run.error = std::move(message);
-        return run;
-    }
+/** One engine configuration an oracle runs. */
+struct OracleSide {
+    /** Names the side in skip and disagreement details. */
+    std::string name;
+    /** Runs on the emitted and reparsed copy of the program. */
+    bool reparsed = false;
+    /** Checks each property on a Verifier of its own, instead of the
+     *  session the batch shares between jobs with equal keys. */
+    bool fresh = false;
+    core::VerifierOptions options;
+    std::vector<core::Property> properties;
+    /** Filled by addOracleJobs: the job of each property. */
+    std::vector<size_t> jobs;
 };
 
-/** Everything compareOracles needs; unused slots stay ran=false. */
-struct OracleInputs {
-    const prog::Program *program = nullptr;
-    bool modelFlagged = false;
-
-    EngineRun builtinSafety;   // builtin backend, bound k
-    EngineRun z3Safety;        // z3 backend, effectiveZ3Bound()
-    EngineRun builtinNext;     // builtin backend, bound k+1
-    EngineRun builtinDrf;      // builtin backend CatSpec, bound k
-    EngineRun roundTripSafety; // builtin, bound k, on the reparsed text
-    /** Non-empty when emit/reparse itself failed. */
-    std::string roundTripError;
-
-    EngineRun explicitSafety; // explicit baseline
-    EngineRun explicitDrf;    // explicit baseline CatSpec
-    EngineRun dporSafety;     // DPOR engine
-    EngineRun dporDrf;        // DPOR engine CatSpec
+enum class OracleRelation {
+    /** Both sides reach the same verdict on every property; an unknown
+     *  on either side skips the comparison. */
+    SameVerdict,
+    /** Both sides give the same answer, unknown included: two
+     *  configurations of one engine must also run out of budget
+     *  alike. */
+    SameAnswer,
+    /** The same answer and the same detail string. */
+    SameAnswerAndDetail,
+    /** A witness the reference finds at its bound, the variant still
+     *  finds at its larger one. */
+    WitnessPersists
 };
 
-/** Batch-job indices of one case's engine runs (-1 = not run). */
-struct OracleSlots {
-    int builtin = -1;
-    int z3 = -1;
-    int next = -1;
-    int drf = -1;
-    int roundTrip = -1;
-    int explicitSafety = -1;
-    int explicitDrf = -1;
-    int dporSafety = -1;
-    int dporDrf = -1;
+struct Oracle {
+    OracleKind kind = OracleKind::RoundTrip;
+    OracleRelation relation = OracleRelation::SameVerdict;
+    /** (reference, variant) pairs, compared in order: the first one
+     *  that does not agree decides the outcome. Both sides of a pair
+     *  check the same properties. */
+    std::vector<std::pair<OracleSide, OracleSide>> pairs;
 };
 
 /**
- * Append to @p batch the engine runs that the enabled comparing
- * oracles need for @p program. @p reparsed is its emitted and
- * reparsed copy (null when that failed or roundtrip is off); the
- * pointees must outlive the batch run. Job labels start with @p tag.
+ * The oracles @p options enables against @p model, in log order, or,
+ * given @p only, just that one (shrinker predicates and tests).
  */
-OracleSlots addOracleJobs(const prog::Program &program,
-                          const prog::Program *reparsed,
-                          const cat::CatModel &model,
-                          const OracleOptions &options,
-                          const std::string &tag,
-                          std::vector<core::BatchJob> &batch);
+std::vector<Oracle> makeOracles(const OracleOptions &options,
+                                const cat::CatModel &model,
+                                std::optional<OracleKind> only = {});
 
-/** The compareOracles inputs of one case, read from the batch run. */
-OracleInputs oracleInputs(const prog::Program &program,
-                          const cat::CatModel &model,
-                          const OracleSlots &slots,
-                          const std::vector<core::BatchEntry> &entries,
-                          std::string roundTripError);
+/** The engine runs of any number of programs' oracles. */
+struct OracleJobs {
+    std::vector<core::BatchJob> jobs;
+    /** fresh[i]: jobs[i] runs on a Verifier of its own rather than in
+     *  the one BatchVerifier batch of every other job. */
+    std::vector<bool> fresh;
+    /** The shared job of each (program, property, session key) queued
+     *  so far: sides that ask for the same run read the same entry.
+     *  The key leaves out the per-check budget, which makeOracles
+     *  gives every side of one engine alike. */
+    std::map<std::tuple<const prog::Program *, core::Property,
+                        core::SessionKey>,
+             size_t>
+        shared;
+
+    /** Run every job on up to @p workers threads (0 = hardware
+     *  concurrency); entry i belongs to jobs[i]. */
+    std::vector<core::BatchEntry> run(unsigned workers) const;
+};
+
+/**
+ * Queue the runs of every side of @p oracles on @p program and record
+ * in each side which jobs are its own. @p reparsed is the program's
+ * emitted and reparsed copy (null when that failed); the pointees must
+ * outlive the run. Job labels start with @p tag.
+ */
+void addOracleJobs(const prog::Program &program,
+                   const prog::Program *reparsed,
+                   const cat::CatModel &model, std::vector<Oracle> &oracles,
+                   const std::string &tag, OracleJobs &jobs);
 
 /** Did the quantified statement witness a behaviour? (exists: holds;
  *  ~exists/forall: a violating behaviour was found, i.e. !holds). */
 bool witnessFound(const prog::Program &program,
                   const core::VerificationResult &result);
 
-/** Cross-check pre-computed engine runs. */
-OracleReport compareOracles(const OracleInputs &inputs,
-                            const OracleOptions &options);
+/**
+ * Emit @p program as litmus text and parse it back into @p out.
+ * Returns why that failed, or "" when it did not.
+ */
+std::string reparse(const prog::Program &program, prog::Program &out);
 
 /**
- * Run just the shared-vs-fresh session differential (self-contained:
- * verifies all three properties on one checkAll() session and on
- * three fresh sessions, per backend). Used by runOracles when
- * `options.sessionReuse` is set and by the campaign driver, which
- * fans it across workers itself.
+ * Screen and compare every oracle of @p program from the entries of
+ * its jobs. @p reparseError is reparse()'s answer: a failed round trip
+ * is a roundtrip disagreement.
  */
-OracleOutcome sessionReuseOracle(const prog::Program &program,
-                                 const cat::CatModel &model,
-                                 const OracleOptions &options);
+OracleReport compareOracles(const prog::Program &program,
+                            const std::vector<Oracle> &oracles,
+                            const std::vector<core::BatchEntry> &entries,
+                            const std::string &reparseError = "");
 
-/**
- * Run just the clause-sharing differential (self-contained): a
- * checkAll() on the builtin backend with cube-scope clause sharing at
- * cube depth 2 must agree on holds/unknown, property for property,
- * with the sharing-off baseline. Detail strings are not compared: sharing legally changes
- * which witness the solver finds. Used by runOracles when
- * `options.clauseSharing` is set and by the campaign driver, which
- * fans it across workers itself.
- */
-OracleOutcome clauseSharingOracle(const prog::Program &program,
-                                  const cat::CatModel &model,
-                                  const OracleOptions &options);
-
-/** Run every enabled engine sequentially and cross-check. */
+/** Run makeOracles(@p options, @p model, @p only) on one program, on
+ *  the calling thread, and compare. */
 OracleReport runOracles(const prog::Program &program,
                         const cat::CatModel &model,
-                        const OracleOptions &options);
+                        const OracleOptions &options,
+                        std::optional<OracleKind> only = {});
 
 } // namespace gpumc::fuzz
 

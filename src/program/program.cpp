@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -48,6 +49,47 @@ Program::isStraightLine() const
     return true;
 }
 
+namespace {
+
+void
+addCondConstants(const Cond *cond, std::set<int64_t> &values)
+{
+    if (!cond)
+        return;
+    const bool compares =
+        cond->kind == Cond::Kind::Eq || cond->kind == Cond::Kind::Ne;
+    for (const CondTerm *t : {&cond->tl, &cond->tr}) {
+        if (compares && t->kind == CondTerm::Kind::Const)
+            values.insert(t->value);
+    }
+    addCondConstants(cond->lhs.get(), values);
+    addCondConstants(cond->rhs.get(), values);
+}
+
+constexpr uint64_t kSaturated = std::numeric_limits<uint64_t>::max();
+
+/** |v|, exact for the most negative int64_t too. */
+uint64_t
+magnitude(int64_t v)
+{
+    return v < 0 ? uint64_t{0} - static_cast<uint64_t>(v)
+                 : static_cast<uint64_t>(v);
+}
+
+uint64_t
+saturatingAdd(uint64_t a, uint64_t b)
+{
+    return a > kSaturated - b ? kSaturated : a + b;
+}
+
+uint64_t
+saturatingMul(uint64_t a, uint64_t b)
+{
+    return b != 0 && a > kSaturated / b ? kSaturated : a * b;
+}
+
+} // namespace
+
 std::vector<int64_t>
 Program::valueUniverse() const
 {
@@ -64,32 +106,38 @@ Program::valueUniverse() const
             addOperand(ins.src2);
             addOperand(ins.branchLhs);
             addOperand(ins.branchRhs);
+            addOperand(ins.barrierId);
         }
     }
+    addCondConstants(assertion.get(), values);
+    addCondConstants(filter.get(), values);
     return {values.begin(), values.end()};
 }
 
 int
 Program::suggestedValueBits(int bound) const
 {
-    int64_t maxConst = 1;
+    // Literals span all of int64_t, so magnitudes are unsigned and the
+    // worst case saturates instead of overflowing; it caps the width
+    // anyway.
+    uint64_t maxValue = 1;
     for (int64_t v : valueUniverse())
-        maxConst = std::max(maxConst, std::abs(v));
-    int64_t accumulation = 0;
+        maxValue = std::max(maxValue, magnitude(v));
+    const uint64_t runs = static_cast<uint64_t>(std::max(bound, 0)) + 1;
     for (const Thread &t : threads) {
         for (const Instruction &ins : t.instrs) {
             bool accumulates =
                 (ins.op == Opcode::Rmw && ins.rmwKind == RmwKind::Add) ||
                 ins.op == Opcode::AddReg;
             if (accumulates && !ins.src.isReg()) {
-                accumulation +=
-                    std::abs(ins.src.value) * (bound + 1);
+                maxValue = saturatingAdd(
+                    maxValue, saturatingMul(magnitude(ins.src.value), runs));
             }
         }
     }
-    int64_t maxValue = maxConst + accumulation + 1;
+    maxValue = saturatingAdd(maxValue, 1);
     int bits = 2;
-    while ((int64_t{1} << bits) <= maxValue && bits < 62)
+    while (bits < 62 && (uint64_t{1} << bits) <= maxValue)
         bits++;
     return std::max(3, bits + 1); // one bit of headroom
 }

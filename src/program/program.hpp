@@ -121,7 +121,9 @@ class Program {
     /** True if no thread uses control-flow instructions. */
     bool isStraightLine() const;
 
-    /** All distinct constants appearing in the program (plus 0/1). */
+    /** All distinct constants appearing in the program: initial
+     *  values, instruction and barrier-id operands, and the assertion
+     *  and filter (plus 0/1). */
     std::vector<int64_t> valueUniverse() const;
 
     /**

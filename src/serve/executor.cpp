@@ -1,5 +1,8 @@
 #include "serve/executor.hpp"
 
+#include <algorithm>
+
+#include "support/diagnostics.hpp"
 #include "support/trace.hpp"
 
 namespace gpumc::serve {
@@ -8,6 +11,7 @@ Executor::Executor(unsigned workers, size_t maxQueued,
                    const char *threadName)
     : maxQueued_(maxQueued), threadName_(threadName)
 {
+    GPUMC_ASSERT(maxQueued > 0, "an executor queue holds at least one task");
     if (workers == 0)
         workers = defaultConcurrency();
     // The creator's slot is lent while it blocks, so only workers - 1
@@ -30,38 +34,22 @@ Executor::~Executor()
         t.join();
 }
 
-void
-Executor::enqueueLocked(std::function<void()> task)
-{
-    queue_.push_back(std::move(task));
-    counters_.accepted++;
-    if (static_cast<int64_t>(queue_.size()) > counters_.maxQueueDepth)
-        counters_.maxQueueDepth = static_cast<int64_t>(queue_.size());
-}
-
 Executor::Admit
 Executor::trySubmit(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (maxQueued_ != 0 && queue_.size() >= maxQueued_) {
+        if (queue_.size() >= maxQueued_) {
             counters_.rejected++;
             return Admit::Overloaded;
         }
-        enqueueLocked(std::move(task));
+        queue_.push_back(std::move(task));
+        counters_.accepted++;
+        counters_.maxQueueDepth = std::max(
+            counters_.maxQueueDepth, static_cast<int64_t>(queue_.size()));
     }
     wake_.notify_one();
     return Admit::Accepted;
-}
-
-void
-Executor::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        enqueueLocked(std::move(task));
-    }
-    wake_.notify_one();
 }
 
 void

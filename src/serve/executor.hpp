@@ -1,17 +1,12 @@
 /**
  * @file
- * Queue-driven task executor shared by the batch path
- * (core::BatchVerifier fans its session groups through one) and the
- * gpumc-serve daemon (verification requests are admitted into one
- * long-lived instance).
+ * Queue-driven task executor of the gpumc-serve daemon: verification
+ * requests are admitted into one long-lived instance.
  *
- * The executor owns a FIFO task queue drained by a fixed set of worker
- * threads. Two admission modes:
- *  - submit(): unbounded, never fails — the batch path, which owns its
- *    whole workload up front.
- *  - trySubmit(): bounded by `maxQueued` — the serving path, where a
- *    full queue must turn into a graceful `overloaded` response
- *    instead of unbounded memory growth (admission control).
+ * The executor owns a bounded FIFO task queue drained by a fixed set of
+ * worker threads. Admission is trySubmit(): a full queue turns into a
+ * graceful `overloaded` response instead of unbounded memory growth
+ * (admission control).
  *
  * Thread accounting matches parallelFor: the creator is assumed to
  * block (in drain() or a server accept loop) while tasks run, so its
@@ -21,9 +16,9 @@
  * less parallelism — and never deadlocks.
  *
  * Exceptions thrown by tasks are captured; the first one is rethrown
- * by drain(). (BatchVerifier job bodies catch per-job failures
- * themselves, so anything reaching the executor is a programming
- * error, mirroring the parallelFor contract.)
+ * by drain(). (The serve engine catches per-request failures itself,
+ * so anything reaching the executor is a programming error, mirroring
+ * the parallelFor contract.)
  */
 
 #ifndef GPUMC_SERVE_EXECUTOR_HPP
@@ -51,11 +46,11 @@ class Executor {
      * @param workers    requested worker count; 0 = defaultConcurrency().
      *                   The actual count is 1 + however many helper
      *                   slots the ThreadBudget grants (at least 1).
-     * @param maxQueued  trySubmit() bound; 0 = unbounded (batch mode).
+     * @param maxQueued  trySubmit() bound (at least 1).
      * @param threadName trace lane label for the workers.
      */
-    explicit Executor(unsigned workers = 0, size_t maxQueued = 0,
-                      const char *threadName = "executor");
+    Executor(unsigned workers, size_t maxQueued,
+             const char *threadName = "executor");
 
     /** Drains the queue (pending tasks still run), then joins. */
     ~Executor();
@@ -76,9 +71,6 @@ class Executor {
      */
     Admit trySubmit(std::function<void()> task);
 
-    /** Unbounded admission for batch workloads. Never fails. */
-    void submit(std::function<void()> task);
-
     /**
      * Block until the queue is empty and every worker is idle, then
      * rethrow the first exception any task raised (if any).
@@ -95,7 +87,6 @@ class Executor {
     Counters counters() const;
 
   private:
-    void enqueueLocked(std::function<void()> task);
     void workerLoop();
 
     const size_t maxQueued_;

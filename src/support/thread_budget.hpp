@@ -3,8 +3,8 @@
  * Process-wide thread budget shared by every parallelism axis, and the
  * parallel-for that draws on it.
  *
- * gpumc has nesting sources of threads — executor workers (batch
- * verification, the serve daemon), parallelFor fan-outs (the fuzz
+ * gpumc has nesting sources of threads — the serve daemon's executor
+ * workers, parallelFor fan-outs (batch verification, the fuzz
  * campaign) and the builtin solver's cube-and-conquer farm — and each
  * used to size itself from defaultConcurrency(), multiplying into
  * jobs x cubes threads. The budget makes `--jobs=N` mean what it says:

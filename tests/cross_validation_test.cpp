@@ -1,14 +1,15 @@
 /**
  * @file
- * Cross-validation: the SMT engine and the explicit-state enumerator
- * must agree on every supported (straight-line) litmus test — this is
- * the repository's analogue of the paper's Dartagnan-vs-Alloy model
- * validation (Table 5: "For tests supported by both tools, all results
- * match").
+ * Cross-validation: the SMT engine, the explicit-state enumerator and
+ * the DPOR engine must agree on every supported (straight-line) litmus
+ * test — this is the repository's analogue of the paper's
+ * Dartagnan-vs-Alloy model validation (Table 5: "For tests supported
+ * by both tools, all results match").
  */
 
 #include <gtest/gtest.h>
 
+#include "dpor/dpor_checker.hpp"
 #include "explicit/explicit_checker.hpp"
 #include "tests/test_util.hpp"
 
@@ -152,6 +153,40 @@ st.atom.dv.sc0 x, 1    | st.atom.dv.sc0 y, 1    ;
 ld.atom.dv.sc0 r0, y   | ld.atom.dv.sc0 r1, x   ;
 exists (P0:r0 == 0 /\ P1:r1 == 0)
 )"},
+    // Values the three engines once read differently: a condition
+    // constant outside the program's stores (a 3-bit SMT encoding made
+    // 8 equal 0), a store wider than 8 bits (the enumerative engines
+    // kept only its low byte, 300 & 255 = 44), a static barrier id
+    // that did not fit the SMT width (8 met the dynamic id 0), and a
+    // condition constant at the top of int64_t (sizing the SMT width
+    // for it overflowed).
+    {"value-cond-const", R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
+st.weak x, 1   | ld.weak r0, x  ;
+exists (P1:r0 == 8)
+)"},
+    {"value-wide-store", R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
+st.weak x, 300 | ld.weak r0, x  ;
+exists (P1:r0 == 44)
+)"},
+    {"value-barrier-id", R"(
+PTX
+P0@cta 0,gpu 0  | P1@cta 0,gpu 0 ;
+st.weak x, 1    | st.weak y, 1   ;
+ld.weak r2, z   | bar.cta.sync 8 ;
+bar.cta.sync r2 | ld.weak r1, x  ;
+ld.weak r0, y   |                ;
+forall (P0:r0 == 1 \/ P1:r1 == 1)
+)"},
+    {"value-int64-max", R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
+st.weak x, 7   | ld.weak r0, x  ;
+exists (P1:r0 == 9223372036854775807)
+)"},
 };
 
 class CrossValidation : public ::testing::TestWithParam<CrossCase> {};
@@ -175,11 +210,19 @@ TEST_P(CrossValidation, EnginesAgreeOnSafety)
     EXPECT_EQ(ground.conditionHolds, smtResult.holds)
         << "SMT and explicit engines disagree on " << c.name;
 
+    dpor::DporResult dpor = dpor::DporChecker(program, model).run();
+    ASSERT_TRUE(dpor.supported) << dpor.unsupportedReason;
+    ASSERT_FALSE(dpor.timedOut);
+    EXPECT_EQ(dpor.conditionHolds, smtResult.holds)
+        << "SMT and DPOR engines disagree on " << c.name;
+
     // DRF agreement (only meaningful for models with flags: Vulkan).
     if (model.hasFlaggedAxioms()) {
         core::VerificationResult drf = verifier.checkCatSpec();
         EXPECT_EQ(ground.raceFound, !drf.holds)
             << "DRF disagreement on " << c.name;
+        EXPECT_EQ(dpor.raceFound, !drf.holds)
+            << "DPOR DRF disagreement on " << c.name;
     }
 }
 

@@ -34,10 +34,12 @@ struct BudgetGuard {
 
 TEST(Executor, ExecutesEverySubmittedTask)
 {
-    serve::Executor exec(4);
+    serve::Executor exec(4, 64);
     std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i)
-        exec.submit([&ran] { ran++; });
+    for (int i = 0; i < 64; ++i) {
+        ASSERT_EQ(exec.trySubmit([&ran] { ran++; }),
+                  serve::Executor::Admit::Accepted);
+    }
     exec.drain();
     EXPECT_EQ(ran.load(), 64);
 
@@ -49,11 +51,13 @@ TEST(Executor, ExecutesEverySubmittedTask)
 
 TEST(Executor, ReusableAcrossDrains)
 {
-    serve::Executor exec(2);
+    serve::Executor exec(2, 1);
     std::atomic<int> ran{0};
-    exec.submit([&ran] { ran++; });
+    ASSERT_EQ(exec.trySubmit([&ran] { ran++; }),
+              serve::Executor::Admit::Accepted);
     exec.drain();
-    exec.submit([&ran] { ran++; });
+    ASSERT_EQ(exec.trySubmit([&ran] { ran++; }),
+              serve::Executor::Admit::Accepted);
     exec.drain();
     EXPECT_EQ(ran.load(), 2);
 }
@@ -69,11 +73,12 @@ TEST(Executor, BoundedAdmissionRejectsWhenSaturated)
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
     std::atomic<int> ran{0};
-    exec.submit([&started, gate, &ran] {
-        started.set_value();
-        gate.wait();
-        ran++;
-    });
+    ASSERT_EQ(exec.trySubmit([&started, gate, &ran] {
+                  started.set_value();
+                  gate.wait();
+                  ran++;
+              }),
+              serve::Executor::Admit::Accepted);
     started.get_future().wait();
 
     EXPECT_EQ(exec.trySubmit([&ran] { ran++; }),
@@ -94,13 +99,15 @@ TEST(Executor, BoundedAdmissionRejectsWhenSaturated)
 
 TEST(Executor, DrainRethrowsFirstTaskException)
 {
-    serve::Executor exec(2);
-    exec.submit([] { throw std::runtime_error("task failed"); });
+    serve::Executor exec(2, 1);
+    ASSERT_EQ(exec.trySubmit([] { throw std::runtime_error("task failed"); }),
+              serve::Executor::Admit::Accepted);
     EXPECT_THROW(exec.drain(), std::runtime_error);
 
     // The error is consumed: the executor keeps serving afterwards.
     std::atomic<int> ran{0};
-    exec.submit([&ran] { ran++; });
+    ASSERT_EQ(exec.trySubmit([&ran] { ran++; }),
+              serve::Executor::Admit::Accepted);
     exec.drain();
     EXPECT_EQ(ran.load(), 1);
 }
@@ -108,12 +115,14 @@ TEST(Executor, DrainRethrowsFirstTaskException)
 TEST(Executor, DegradesToOneWorkerWhenBudgetExhausted)
 {
     BudgetGuard budget(1); // no helper slots at all
-    serve::Executor exec(8);
+    serve::Executor exec(8, 16);
     EXPECT_EQ(exec.workers(), 1u);
 
     std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i)
-        exec.submit([&ran] { ran++; });
+    for (int i = 0; i < 16; ++i) {
+        ASSERT_EQ(exec.trySubmit([&ran] { ran++; }),
+                  serve::Executor::Admit::Accepted);
+    }
     exec.drain();
     EXPECT_EQ(ran.load(), 16);
 }
@@ -169,14 +178,14 @@ TEST(CompletionQueue, BlockedConsumerDoesNotStallExecutorWorkers)
     // computation the callback waited for never ran). With the drain,
     // workers only pay for the enqueue, so every callback below
     // eventually observes all tasks computed.
-    serve::Executor exec(2);
+    serve::Executor exec(2, 8);
     serve::CompletionQueue drain;
     constexpr int total = 8;
     std::atomic<int> computed{0};
     std::atomic<int> sawAllComputed{0};
 
     for (int i = 0; i < total; ++i) {
-        exec.submit([&computed, &drain, &sawAllComputed] {
+        auto task = [&computed, &drain, &sawAllComputed] {
             computed++;
             drain.push([&computed, &sawAllComputed] {
                 for (int spin = 0;
@@ -186,7 +195,8 @@ TEST(CompletionQueue, BlockedConsumerDoesNotStallExecutorWorkers)
                 if (computed.load() == total)
                     sawAllComputed++;
             });
-        });
+        };
+        ASSERT_EQ(exec.trySubmit(task), serve::Executor::Admit::Accepted);
     }
     exec.drain();
     drain.flush();

@@ -56,7 +56,7 @@ TEST(FuzzCampaign, HealthyCampaignIsClean)
     fuzz::CampaignResult result = fuzz::runCampaign(options);
     EXPECT_EQ(result.disagreements, 0) << result.log;
     EXPECT_EQ(result.errors, 0) << result.log;
-    EXPECT_EQ(result.oracleChecks, 6 * 4);
+    EXPECT_EQ(result.oracleChecks, 6 * 5);
     EXPECT_TRUE(result.clean());
 }
 

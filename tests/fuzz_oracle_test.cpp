@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fuzz/oracle.hpp"
 #include "fuzz/random_program.hpp"
 #include "tests/test_util.hpp"
@@ -87,27 +89,111 @@ TEST(FuzzOracle, UnsupportedExplicitIsSkippedNotAgreement)
 
 TEST(FuzzOracle, CompareNeverTurnsUnsupportedIntoAgree)
 {
-    // Even with identical (agreeing) SMT runs on both sides, an
-    // unsupported explicit result must not count as agreement.
+    // Even with an agreeing holds bit, an unsupported explicit result
+    // must not count as agreement.
     Program program = casProgram();
-    fuzz::OracleInputs inputs;
-    inputs.program = &program;
-    core::VerificationResult fake;
-    fake.holds = true;
-    inputs.builtinSafety = fuzz::EngineRun::of(fake);
-    core::VerificationResult unsupported;
-    unsupported.unknown = true;
-    unsupported.detail =
-        std::string(core::kUnsupportedDetail) + "compare-and-swap";
-    unsupported.holds = true; // would "agree"
-    inputs.explicitSafety = fuzz::EngineRun::of(unsupported);
+    std::vector<fuzz::Oracle> oracles = fuzz::makeOracles(
+        {}, ptx75Model(), fuzz::OracleKind::SmtVsExplicit);
+    ASSERT_EQ(oracles.size(), 1u);
+    ASSERT_EQ(oracles[0].pairs.size(), 1u);
+    auto &[reference, variant] = oracles[0].pairs[0];
+    ASSERT_EQ(variant.options.engine, core::Engine::Explicit);
+    reference.jobs = {0};
+    variant.jobs = {1};
 
-    fuzz::OracleOptions options;
-    options = options.only(fuzz::OracleKind::SmtVsExplicit);
-    fuzz::OracleReport report = fuzz::compareOracles(inputs, options);
+    std::vector<core::BatchEntry> entries(2);
+    entries[0].result.holds = true;
+    entries[1].result.unknown = true;
+    entries[1].result.detail =
+        std::string(core::kUnsupportedDetail) + "compare-and-swap";
+    entries[1].result.holds = true; // would "agree"
+
+    fuzz::OracleReport report =
+        fuzz::compareOracles(program, oracles, entries);
     ASSERT_EQ(report.outcomes.size(), 1u);
     EXPECT_EQ(report.outcomes[0].verdict, fuzz::OracleVerdict::Skipped);
     EXPECT_EQ(report.outcomes[0].detail, "compare-and-swap");
+}
+
+/**
+ * Session-reuse and clause-sharing compare two configurations of one
+ * engine, which must also run out of budget alike: an unknown on one
+ * side only is a disagreement, never a skip.
+ */
+TEST(FuzzOracle, OneSidedUnknownDisagrees)
+{
+    Program program = casProgram();
+    for (fuzz::OracleKind kind :
+         {fuzz::OracleKind::SessionReuse, fuzz::OracleKind::ClauseSharing}) {
+        std::vector<fuzz::Oracle> oracles =
+            fuzz::makeOracles({}, ptx75Model(), kind);
+        ASSERT_EQ(oracles.size(), 1u);
+        size_t jobs = 0;
+        for (auto &[reference, variant] : oracles[0].pairs) {
+            for (fuzz::OracleSide *side : {&reference, &variant}) {
+                side->jobs.clear();
+                for (size_t i = 0; i < side->properties.size(); ++i)
+                    side->jobs.push_back(jobs++);
+            }
+        }
+        std::vector<core::BatchEntry> entries(jobs);
+        for (core::BatchEntry &entry : entries)
+            entry.result.holds = true;
+        // The first variant's second property gave up.
+        const fuzz::OracleSide &variant = oracles[0].pairs[0].second;
+        ASSERT_EQ(variant.properties.at(1), core::Property::Liveness);
+        entries[variant.jobs[1]].result.unknown = true;
+
+        fuzz::OracleReport report =
+            fuzz::compareOracles(program, oracles, entries);
+        ASSERT_EQ(report.outcomes.size(), 1u);
+        const fuzz::OracleOutcome &outcome = report.outcomes[0];
+        EXPECT_EQ(outcome.verdict, fuzz::OracleVerdict::Disagree)
+            << fuzz::oracleName(kind) << ": " << outcome.detail;
+        EXPECT_EQ(outcome.detail.rfind("liveness: ", 0), 0u)
+            << outcome.detail;
+        EXPECT_NE(outcome.detail.find(variant.name + "=unknown"),
+                  std::string::npos)
+            << outcome.detail;
+    }
+}
+
+/**
+ * Every side that asks for the builtin safety run reads one job (on
+ * straight-line code the session key drops the bound, so bound-mono's
+ * k+1 side asks for it too), and session-reuse's fresh side never
+ * shares one.
+ */
+TEST(FuzzOracle, SidesAskingForTheSameRunShareOneJob)
+{
+    Program program = casProgram();
+    Program reparsed;
+    ASSERT_EQ(fuzz::reparse(program, reparsed), "");
+    fuzz::OracleOptions options;
+    options.sessionReuse = true;
+    options.clauseSharing = true;
+    std::vector<fuzz::Oracle> oracles =
+        fuzz::makeOracles(options, ptx75Model());
+    ASSERT_EQ(oracles.size(), 7u);
+    fuzz::OracleJobs jobs;
+    fuzz::addOracleJobs(program, &reparsed, ptx75Model(), oracles, "t",
+                        jobs);
+
+    const size_t builtinSafety = oracles[0].pairs[0].first.jobs.at(0);
+    int fresh = 0;
+    for (const fuzz::Oracle &oracle : oracles) {
+        for (const auto &[reference, variant] : oracle.pairs) {
+            for (const fuzz::OracleSide *side : {&reference, &variant}) {
+                const bool sharedBuiltin =
+                    side->name == "builtin" || side->name == "builtin@k+1";
+                EXPECT_EQ(side->jobs.at(0) == builtinSafety, sharedBuiltin)
+                    << fuzz::oracleName(oracle.kind) << " " << side->name;
+                fresh += side->fresh ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_EQ(fresh, 2);
+    EXPECT_EQ(std::count(jobs.fresh.begin(), jobs.fresh.end(), true), 6);
 }
 
 /**
@@ -155,16 +241,14 @@ TEST(FuzzOracle, BoundMonotonicityBothBackends)
 /** The harness's own bound-mono oracle agrees on the same seed set. */
 TEST(FuzzOracle, BoundMonoOracleAgreesOnFixedSeeds)
 {
-    fuzz::OracleOptions options;
-    options = options.only(fuzz::OracleKind::BoundMono);
     for (Arch arch : {Arch::Ptx, Arch::Vulkan}) {
         const cat::CatModel &model =
             arch == Arch::Ptx ? ptx75Model() : vulkanModel();
         fuzz::FuzzConfig config = fuzz::FuzzConfig::withControlFlow(arch);
         for (uint64_t i = 0; i < 8; ++i) {
             Program program = fuzz::randomProgram(0xb0cd, i, config);
-            fuzz::OracleReport report =
-                fuzz::runOracles(program, model, options);
+            fuzz::OracleReport report = fuzz::runOracles(
+                program, model, {}, fuzz::OracleKind::BoundMono);
             const fuzz::OracleOutcome *outcome =
                 report.find(fuzz::OracleKind::BoundMono);
             ASSERT_NE(outcome, nullptr);
@@ -182,16 +266,14 @@ TEST(FuzzOracle, BoundMonoOracleAgreesOnFixedSeeds)
  */
 TEST(FuzzOracle, SessionReuseOracleAgreesOnFixedSeeds)
 {
-    fuzz::OracleOptions options;
-    options = options.only(fuzz::OracleKind::SessionReuse);
     for (Arch arch : {Arch::Ptx, Arch::Vulkan}) {
         const cat::CatModel &model =
             arch == Arch::Ptx ? ptx75Model() : vulkanModel();
         fuzz::FuzzConfig config = fuzz::FuzzConfig::withControlFlow(arch);
         for (uint64_t i = 0; i < 6; ++i) {
             Program program = fuzz::randomProgram(0x5e55, i, config);
-            fuzz::OracleReport report =
-                fuzz::runOracles(program, model, options);
+            fuzz::OracleReport report = fuzz::runOracles(
+                program, model, {}, fuzz::OracleKind::SessionReuse);
             const fuzz::OracleOutcome *outcome =
                 report.find(fuzz::OracleKind::SessionReuse);
             ASSERT_NE(outcome, nullptr);
@@ -218,17 +300,17 @@ TEST(FuzzOracle, InjectedBoundGapIsDetected)
     Program program = litmus::parseLitmus(source);
 
     fuzz::OracleOptions options;
-    options = options.only(fuzz::OracleKind::Z3VsBuiltin);
     options.bound = 2;
+    const fuzz::OracleKind z3VsBuiltin = fuzz::OracleKind::Z3VsBuiltin;
 
     fuzz::OracleReport healthy =
-        fuzz::runOracles(program, ptx75Model(), options);
+        fuzz::runOracles(program, ptx75Model(), options, z3VsBuiltin);
     EXPECT_EQ(healthy.outcomes[0].verdict, fuzz::OracleVerdict::Agree)
         << healthy.outcomes[0].detail;
 
     options.z3Bound = 1; // the --inject=bound-gap fault
     fuzz::OracleReport injected =
-        fuzz::runOracles(program, ptx75Model(), options);
+        fuzz::runOracles(program, ptx75Model(), options, z3VsBuiltin);
     EXPECT_EQ(injected.outcomes[0].verdict,
               fuzz::OracleVerdict::Disagree);
     EXPECT_NE(injected.outcomes[0].detail.find("builtin[bound=2]"),

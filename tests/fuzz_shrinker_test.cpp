@@ -111,13 +111,12 @@ TEST(FuzzShrinker, PreservesOracleDisagreement)
     Program program = litmus::parseLitmus(source);
 
     fuzz::OracleOptions options;
-    options = options.only(fuzz::OracleKind::Z3VsBuiltin);
     options.bound = 2;
     options.z3Bound = 1;
     const cat::CatModel &model = ptx75Model();
     auto stillFails = [&](const Program &candidate) {
-        fuzz::OracleReport report =
-            fuzz::runOracles(candidate, model, options);
+        fuzz::OracleReport report = fuzz::runOracles(
+            candidate, model, options, fuzz::OracleKind::Z3VsBuiltin);
         const fuzz::OracleOutcome *o =
             report.find(fuzz::OracleKind::Z3VsBuiltin);
         return o && o->verdict == fuzz::OracleVerdict::Disagree;

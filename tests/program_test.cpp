@@ -335,5 +335,17 @@ exists (P0:r0 == 100)
     EXPECT_GE(bits, 11);
 }
 
+TEST(ValueBits, SaturatesAtTheLimitsOfInt64)
+{
+    Program p = parse(R"(
+PTX
+{ x = -9223372036854775808; }
+P0@cta 0,gpu 0                              ;
+atom.rlx.gpu.add r0, x, 9223372036854775807 ;
+exists (P0:r0 == 9223372036854775807)
+)");
+    EXPECT_EQ(p.suggestedValueBits(2), 63);
+}
+
 } // namespace
 } // namespace gpumc::test

@@ -51,7 +51,6 @@ TEST_P(RandomDifferential, OraclesAgree)
     fuzz::FuzzConfig config = fuzz::FuzzConfig::basic(arch);
     fuzz::OracleOptions options;
     options.enumerativeMaxCandidates = 30000;
-    options.enumerativeTimeoutMs = 3000;
 
     for (uint64_t round = 0; round < 30; ++round) {
         Program program =

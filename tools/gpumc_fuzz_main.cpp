@@ -1,16 +1,14 @@
 /**
  * @file
  * gpumc-fuzz: differential fuzzing campaigns over random litmus
- * programs. Each case is cross-checked by four oracles (emit/reparse
- * round-trip, SMT vs the explicit-state enumerator, Z3 vs the built-in
- * solver, and bound monotonicity) plus, with --session-reuse, a fifth
- * comparing shared-session checkAll() against fresh sessions, with
- * --clause-sharing a sixth comparing the builtin backend with
- * cube-scope clause sharing against the sharing-off baseline, and with
- * --dpor a seventh comparing the DPOR stateless model-checking engine
- * against the SMT verdicts;
- * disagreements are delta-debugged into minimal `.litmus` repro files.
- * An unknown argument prints the flag list.
+ * programs. Each case is cross-checked by five oracles (emit/reparse
+ * round-trip, SMT vs the explicit-state baseline, Z3 vs the built-in
+ * solver, bound monotonicity, and SMT vs the DPOR engine) plus, with
+ * --session-reuse, shared sessions against fresh ones and, with
+ * --clause-sharing, the builtin backend with cube-scope clause sharing
+ * against the plain one (see fuzz/oracle.hpp); disagreements are
+ * delta-debugged into minimal `.litmus` repro files. An unknown
+ * argument (such as the removed --dpor) prints the flag list.
  *
  * The verdict log is deterministic for a fixed seed: identical across
  * runs and across --jobs values (every engine run is fanned out through
@@ -81,19 +79,15 @@ parseArgs(cli::Parser &cli, int argc, char **argv)
                "fault to exercise shrinking",
                {{"bound-gap", true}}, injectBoundGap);
     cli.flag("session-reuse",
-             "also cross-check every case's shared checkAll()\n"
-             "session against three fresh sessions, on both\n"
-             "backends",
+             "also cross-check every case's shared builtin and\n"
+             "z3 sessions against one fresh session per\n"
+             "property",
              co.oracle.sessionReuse);
     cli.flag("clause-sharing",
              "also cross-check the builtin backend with\n"
              "cube-scope clause sharing against the\n"
              "sharing-off baseline",
              co.oracle.clauseSharing);
-    cli.flag("dpor",
-             "also cross-check every case through the DPOR\n"
-             "engine against the builtin SMT verdicts",
-             co.oracle.dpor);
     cli.flag("no-shrink", "report disagreements without shrinking",
              noShrink);
     cli.integer("max-shrinks", "N",
