@@ -123,18 +123,34 @@ Program::suggestedValueBits(int bound) const
     uint64_t maxValue = 1;
     for (int64_t v : valueUniverse())
         maxValue = std::max(maxValue, magnitude(v));
+    // Every add runs at most once per unrolled run. A constant operand
+    // adds its magnitude each time; an add with no constant operand
+    // (two registers, or memory plus a register) can double the value
+    // each time. Summing first and doubling last bounds every order in
+    // which a value can pass through these adds.
     const uint64_t runs = static_cast<uint64_t>(std::max(bound, 0)) + 1;
+    uint64_t doublings = 0;
+    auto accumulate = [&](const Operand &o) {
+        if (!o.isReg())
+            maxValue = saturatingAdd(
+                maxValue, saturatingMul(magnitude(o.value), runs));
+    };
     for (const Thread &t : threads) {
         for (const Instruction &ins : t.instrs) {
-            bool accumulates =
-                (ins.op == Opcode::Rmw && ins.rmwKind == RmwKind::Add) ||
-                ins.op == Opcode::AddReg;
-            if (accumulates && !ins.src.isReg()) {
-                maxValue = saturatingAdd(
-                    maxValue, saturatingMul(magnitude(ins.src.value), runs));
+            if (ins.op == Opcode::Rmw && ins.rmwKind == RmwKind::Add) {
+                accumulate(ins.src);
+                if (ins.src.isReg())
+                    doublings = saturatingAdd(doublings, runs);
+            } else if (ins.op == Opcode::AddReg) {
+                accumulate(ins.branchLhs);
+                accumulate(ins.src);
+                if (ins.branchLhs.isReg() && ins.src.isReg())
+                    doublings = saturatingAdd(doublings, runs);
             }
         }
     }
+    for (uint64_t i = 0; i < doublings && maxValue != kSaturated; ++i)
+        maxValue = saturatingMul(maxValue, 2);
     maxValue = saturatingAdd(maxValue, 1);
     int bits = 2;
     while (bits < 62 && (uint64_t{1} << bits) <= maxValue)

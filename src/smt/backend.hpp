@@ -11,8 +11,10 @@
 #define GPUMC_SMT_BACKEND_HPP
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,8 +40,16 @@ class Backend {
     /** Allocate a fresh variable; returns its positive literal. */
     virtual Lit newVar() = 0;
 
-    /** Assert a clause (disjunction of literals). */
-    virtual void addClause(const std::vector<Lit> &clause) = 0;
+    /**
+     * Assert a clause (disjunction of literals). The backend copies
+     * what it keeps, so the caller may reuse the storage.
+     */
+    virtual void addClause(std::span<const Lit> clause) = 0;
+    /** `addClause({-act, l})` without building a vector. */
+    void addClause(std::initializer_list<Lit> clause)
+    {
+        addClause(std::span<const Lit>(clause.begin(), clause.size()));
+    }
 
     /** Solve the asserted clauses under optional assumptions. */
     virtual SolveResult solve(const std::vector<Lit> &assumptions = {}) = 0;

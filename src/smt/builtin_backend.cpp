@@ -25,18 +25,17 @@ BuiltinBackend::newVar()
 }
 
 void
-BuiltinBackend::addClause(const std::vector<Lit> &clause)
+BuiltinBackend::addClause(std::span<const Lit> clause)
 {
-    std::vector<sat::Lit> lits;
-    lits.reserve(clause.size());
+    clauseBuf_.clear();
     for (Lit l : clause) {
         GPUMC_ASSERT(l != 0, "invalid zero literal");
-        lits.push_back(toSat(l));
+        clauseBuf_.push_back(toSat(l));
     }
     numClauses_++;
     if (cubeDepth_ > 0)
-        recorded_.push_back(lits); // replayed into per-cube solvers
-    if (!solver_.addClause(std::move(lits)))
+        recorded_.push_back(clauseBuf_); // replayed into per-cube solvers
+    if (!solver_.addClause(clauseBuf_))
         unsat_ = true;
 }
 

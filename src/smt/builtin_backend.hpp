@@ -23,8 +23,9 @@ class BuiltinBackend : public Backend {
   public:
     explicit BuiltinBackend(const BackendConfig &config = {});
 
+    using Backend::addClause;
     Lit newVar() override;
-    void addClause(const std::vector<Lit> &clause) override;
+    void addClause(std::span<const Lit> clause) override;
     SolveResult solve(const std::vector<Lit> &assumptions) override;
     void setTimeLimitMs(int64_t ms) override
     {
@@ -51,6 +52,8 @@ class BuiltinBackend : public Backend {
     SolveResult solveCubes(const std::vector<sat::Lit> &assumps);
 
     sat::Solver solver_;
+    /** addClause's converted copy, kept to reuse its capacity. */
+    std::vector<sat::Lit> clauseBuf_;
     int cubeDepth_ = 0;
     int64_t timeLimitMs_ = 0;
     int64_t numClauses_ = 0;

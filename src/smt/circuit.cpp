@@ -169,7 +169,7 @@ void
 Circuit::assertExactlyOne(std::span<const Lit> lits)
 {
     GPUMC_ASSERT(!lits.empty(), "exactly-one over empty set");
-    assertClause(std::vector<Lit>(lits.begin(), lits.end()));
+    assertClause(lits);
     assertAtMostOne(lits);
 }
 

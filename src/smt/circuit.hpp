@@ -57,7 +57,11 @@ class Circuit {
     /** Assert a literal at the top level. */
     void assertLit(Lit l) { backend_.addClause({l}); }
     /** Assert a clause at the top level. */
-    void assertClause(const std::vector<Lit> &clause)
+    void assertClause(std::span<const Lit> clause)
+    {
+        backend_.addClause(clause);
+    }
+    void assertClause(std::initializer_list<Lit> clause)
     {
         backend_.addClause(clause);
     }

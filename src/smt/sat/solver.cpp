@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "support/diagnostics.hpp"
 
@@ -27,6 +28,15 @@ luby(double y, int x)
 constexpr double kVarDecay = 0.95;
 constexpr double kClaDecay = 0.999;
 constexpr double kRescaleLimit = 1e100;
+/**
+ * reduceDB compacts the clause arena once the clauses it dropped take
+ * more than this share of it, so the arena stays within 1.25 times
+ * the live clauses' words however long a pooled session runs.
+ */
+constexpr double kArenaWasteShare = 0.2;
+
+static_assert(sizeof(Lit) == 4 && 2 * sizeof(Lit) == sizeof(double),
+              "a clause header keeps its activity in two literal words");
 
 } // namespace
 
@@ -40,7 +50,7 @@ Solver::newVar()
     assigns_.push_back(LBool::Undef);
     polarity_.push_back(true); // default phase: false (sign = true)
     level_.push_back(0);
-    reason_.push_back(nullptr);
+    reason_.push_back(kNoClause);
     activity_.push_back(0.0);
     seen_.push_back(0);
     heapIndex_.push_back(-1);
@@ -51,59 +61,151 @@ Solver::newVar()
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(std::span<const Lit> lits)
 {
     GPUMC_ASSERT(decisionLevel() == 0, "clauses must be added at level 0");
     if (!ok_)
         return false;
 
-    // Normalize: sort, remove duplicates, detect tautologies, drop
-    // root-level false literals, and succeed early on true literals.
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
+    // Normalize in place: sort, remove duplicates, detect tautologies,
+    // drop root-level false literals, and succeed early on true
+    // literals.
+    std::vector<Lit> &out = addBuf_;
+    out.assign(lits.begin(), lits.end());
+    std::sort(out.begin(), out.end());
+    size_t kept = 0;
     Lit prev = kUndefLit;
-    for (Lit l : lits) {
+    for (Lit l : out) {
         GPUMC_ASSERT(l.var() >= 0 && l.var() < numVars(),
                      "literal references unknown variable");
         if (value(l) == LBool::True || l == ~prev)
             return true; // satisfied or tautological
         if (value(l) != LBool::False && l != prev)
-            out.push_back(l);
+            out[kept++] = l;
         prev = l;
     }
+    out.resize(kept);
 
     if (out.empty()) {
         ok_ = false;
         return false;
     }
     if (out.size() == 1) {
-        if (!enqueue(out[0], nullptr)) {
+        if (!enqueue(out[0], kNoClause)) {
             ok_ = false;
             return false;
         }
-        ok_ = (propagate() == nullptr);
+        ok_ = (propagate() == kNoClause);
         return ok_;
     }
 
-    auto clause = std::make_unique<Clause>();
-    clause->lits = std::move(out);
-    attachClause(clause.get());
-    clauses_.push_back(std::move(clause));
+    CRef clause = allocClause(out, /*learnt=*/false);
+    attachClause(clause);
+    clauses_.push_back(clause);
     return true;
 }
 
-void
-Solver::attachClause(Clause *c)
+double
+Solver::clauseActivity(CRef c) const
 {
-    GPUMC_ASSERT(c->lits.size() >= 2);
-    watches_[(~c->lits[0]).index()].push_back({c, c->lits[1]});
-    watches_[(~c->lits[1]).index()].push_back({c, c->lits[0]});
+    double activity;
+    std::memcpy(&activity, &arena_[c + 1], sizeof activity);
+    return activity;
 }
 
 void
-Solver::detachClause(Clause *c)
+Solver::setClauseActivity(CRef c, double activity)
 {
-    for (Lit w : {c->lits[0], c->lits[1]}) {
+    // Lit is trivially copyable, so its words may take the bytes.
+    std::memcpy(static_cast<void *>(&arena_[c + 1]), &activity,
+                sizeof activity);
+}
+
+Solver::CRef
+Solver::allocClause(std::span<const Lit> lits, bool learnt)
+{
+    GPUMC_ASSERT(lits.size() >= 2);
+    const size_t words = arena_.size() + kHeaderWords + lits.size();
+    GPUMC_ASSERT(words < kNoClause && lits.size() < (1u << 29),
+                 "clause arena overflow");
+    const CRef c = static_cast<CRef>(arena_.size());
+    arena_.resize(c + kHeaderWords);
+    arena_[c].x = static_cast<int32_t>(lits.size() << kFlagBits) |
+                  (learnt ? kLearntFlag : 0);
+    setClauseActivity(c, 0.0);
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
+    return c;
+}
+
+void
+Solver::freeClause(CRef c)
+{
+    arena_[c].x |= kDroppedFlag;
+    wastedWords_ += kHeaderWords + clauseSize(c);
+}
+
+size_t
+Solver::liveClauseWords() const
+{
+    size_t words = 0;
+    for (const std::vector<CRef> *list : {&clauses_, &learnts_}) {
+        for (CRef c : *list)
+            words += kHeaderWords + clauseSize(c);
+    }
+    return words;
+}
+
+void
+Solver::compactArena()
+{
+    // Copy the live clauses in address order and leave each one's new
+    // offset in its old activity words, so every holder of an offset
+    // can look it up.
+    std::vector<Lit> to;
+    to.reserve(arena_.size() - wastedWords_);
+    for (CRef c = 0; c < arena_.size();) {
+        const CRef next = c + kHeaderWords + clauseSize(c);
+        if ((arena_[c].x & kDroppedFlag) == 0) {
+            const CRef moved = static_cast<CRef>(to.size());
+            to.insert(to.end(), arena_.begin() + c, arena_.begin() + next);
+            arena_[c + 1].x = static_cast<int32_t>(moved);
+        }
+        c = next;
+    }
+    auto relocate = [&](CRef &c) {
+        GPUMC_ASSERT((arena_[c].x & kDroppedFlag) == 0,
+                     "relocating a dropped clause");
+        c = static_cast<CRef>(arena_[c + 1].x);
+    };
+    for (std::vector<Watcher> &ws : watches_) {
+        for (Watcher &w : ws)
+            relocate(w.clause);
+    }
+    for (CRef &reason : reason_) {
+        if (reason != kNoClause)
+            relocate(reason);
+    }
+    for (CRef &c : clauses_)
+        relocate(c);
+    for (CRef &c : learnts_)
+        relocate(c);
+    arena_ = std::move(to);
+    wastedWords_ = 0;
+}
+
+void
+Solver::attachClause(CRef c)
+{
+    const Lit *lits = clauseLits(c);
+    watches_[(~lits[0]).index()].push_back({c, lits[1]});
+    watches_[(~lits[1]).index()].push_back({c, lits[0]});
+}
+
+void
+Solver::detachClause(CRef c)
+{
+    const Lit *lits = clauseLits(c);
+    for (Lit w : {lits[0], lits[1]}) {
         auto &ws = watches_[(~w).index()];
         for (size_t i = 0; i < ws.size(); ++i) {
             if (ws[i].clause == c) {
@@ -116,7 +218,7 @@ Solver::detachClause(Clause *c)
 }
 
 bool
-Solver::enqueue(Lit l, Clause *reason)
+Solver::enqueue(Lit l, CRef reason)
 {
     if (value(l) != LBool::Undef)
         return value(l) == LBool::True;
@@ -127,7 +229,7 @@ Solver::enqueue(Lit l, Clause *reason)
     return true;
 }
 
-Solver::Clause *
+Solver::CRef
 Solver::propagate()
 {
     while (qhead_ < trail_.size()) {
@@ -143,36 +245,40 @@ Solver::propagate()
             (interrupted_.load(std::memory_order_relaxed) ||
              (deadline_.limited() && deadline_.expired()))) {
             timedOut_ = true;
-            return nullptr;
+            return kNoClause;
         }
         Lit p = trail_[qhead_++];
         stats_.propagations++;
-        auto &ws = watches_[p.index()];
-        size_t i = 0, j = 0;
-        while (i < ws.size()) {
-            Watcher w = ws[i];
+        // Only other literals' watch lists grow below (a new watch is
+        // not false, so it is never ~p), so these pointers stay valid.
+        std::vector<Watcher> &ws = watches_[p.index()];
+        Watcher *i = ws.data();
+        Watcher *j = i;
+        Watcher *const end = i + ws.size();
+        const Lit falseLit = ~p;
+        while (i != end) {
+            const Watcher w = *i++;
             if (value(w.blocker) == LBool::True) {
-                ws[j++] = ws[i++];
+                *j++ = w;
                 continue;
             }
-            Clause *c = w.clause;
-            auto &lits = c->lits;
+            const CRef c = w.clause;
+            Lit *lits = clauseLits(c);
             // Make sure the false literal is lits[1].
-            Lit falseLit = ~p;
             if (lits[0] == falseLit)
                 std::swap(lits[0], lits[1]);
             GPUMC_ASSERT(lits[1] == falseLit);
-            ++i;
 
-            Lit first = lits[0];
+            const Lit first = lits[0];
             if (first != w.blocker && value(first) == LBool::True) {
-                ws[j++] = {c, first};
+                *j++ = {c, first};
                 continue;
             }
 
             // Look for a new literal to watch.
             bool foundWatch = false;
-            for (size_t k = 2; k < lits.size(); ++k) {
+            const uint32_t size = clauseSize(c);
+            for (uint32_t k = 2; k < size; ++k) {
                 if (value(lits[k]) != LBool::False) {
                     std::swap(lits[1], lits[k]);
                     watches_[(~lits[1]).index()].push_back({c, first});
@@ -184,24 +290,24 @@ Solver::propagate()
                 continue;
 
             // Clause is unit or conflicting.
-            ws[j++] = {c, first};
+            *j++ = {c, first};
             if (value(first) == LBool::False) {
                 // Conflict: copy remaining watchers and bail out.
-                while (i < ws.size())
-                    ws[j++] = ws[i++];
-                ws.resize(j);
+                while (i != end)
+                    *j++ = *i++;
+                ws.resize(static_cast<size_t>(j - ws.data()));
                 qhead_ = trail_.size();
                 return c;
             }
             enqueue(first, c);
         }
-        ws.resize(j);
+        ws.resize(static_cast<size_t>(j - ws.data()));
     }
-    return nullptr;
+    return kNoClause;
 }
 
 void
-Solver::analyze(Clause *conflict, std::vector<Lit> &outLearnt, int &outBtLevel)
+Solver::analyze(CRef conflict, std::vector<Lit> &outLearnt, int &outBtLevel)
 {
     outLearnt.clear();
     outLearnt.push_back(kUndefLit); // slot for the asserting literal
@@ -210,14 +316,15 @@ Solver::analyze(Clause *conflict, std::vector<Lit> &outLearnt, int &outBtLevel)
     Lit p = kUndefLit;
     size_t index = trail_.size();
 
-    Clause *reason = conflict;
+    CRef reason = conflict;
     do {
-        GPUMC_ASSERT(reason != nullptr, "no reason during conflict analysis");
-        if (reason->learnt)
+        GPUMC_ASSERT(reason != kNoClause, "no reason during conflict analysis");
+        if (isLearnt(reason))
             claBumpActivity(reason);
-        size_t start = (p == kUndefLit) ? 0 : 1;
-        for (size_t k = start; k < reason->lits.size(); ++k) {
-            Lit q = reason->lits[k];
+        const Lit *lits = clauseLits(reason);
+        const uint32_t size = clauseSize(reason);
+        for (uint32_t k = (p == kUndefLit) ? 0 : 1; k < size; ++k) {
+            Lit q = lits[k];
             Var v = q.var();
             if (!seen_[v] && level_[v] > 0) {
                 seen_[v] = 1;
@@ -241,11 +348,12 @@ Solver::analyze(Clause *conflict, std::vector<Lit> &outLearnt, int &outBtLevel)
     // Simple clause minimization: drop literals implied by the rest via
     // their reason clause at the same level set.
     auto redundant = [&](Lit l) {
-        Clause *r = reason_[l.var()];
-        if (r == nullptr)
+        const CRef r = reason_[l.var()];
+        if (r == kNoClause)
             return false;
-        for (size_t k = 1; k < r->lits.size(); ++k) {
-            Lit q = r->lits[k];
+        const Lit *lits = clauseLits(r);
+        for (uint32_t k = 1; k < clauseSize(r); ++k) {
+            Lit q = lits[k];
             if (!seen_[q.var()] && level_[q.var()] > 0)
                 return false;
         }
@@ -253,8 +361,8 @@ Solver::analyze(Clause *conflict, std::vector<Lit> &outLearnt, int &outBtLevel)
     };
     // Remember every var of the pre-minimization clause: removed
     // literals must have their seen_ flags cleared too.
-    std::vector<Var> marked;
-    marked.reserve(outLearnt.size());
+    std::vector<Var> &marked = markedBuf_;
+    marked.clear();
     for (Lit l : outLearnt)
         marked.push_back(l.var());
 
@@ -292,7 +400,7 @@ Solver::cancelUntil(int levelTo)
         Var v = trail_[i].var();
         polarity_[v] = trail_[i].sign();
         assigns_[v] = LBool::Undef;
-        reason_[v] = nullptr;
+        reason_[v] = kNoClause;
         if (heapIndex_[v] < 0)
             heapInsert(v);
     }
@@ -332,12 +440,13 @@ Solver::varDecayActivity()
 }
 
 void
-Solver::claBumpActivity(Clause *c)
+Solver::claBumpActivity(CRef c)
 {
-    c->activity += claInc_;
-    if (c->activity > kRescaleLimit) {
-        for (auto &cl : learnts_)
-            cl->activity *= 1e-100;
+    const double activity = clauseActivity(c) + claInc_;
+    setClauseActivity(c, activity);
+    if (activity > kRescaleLimit) {
+        for (CRef l : learnts_)
+            setClauseActivity(l, clauseActivity(l) * 1e-100);
         claInc_ *= 1e-100;
     }
 }
@@ -351,29 +460,31 @@ Solver::claDecayActivity()
 void
 Solver::reduceDB()
 {
-    auto locked = [&](Clause *c) {
-        return reason_[c->lits[0].var()] == c &&
-               value(c->lits[0]) == LBool::True;
+    auto locked = [&](CRef c) {
+        const Lit first = clauseLits(c)[0];
+        return reason_[first.var()] == c && value(first) == LBool::True;
     };
-    std::sort(learnts_.begin(), learnts_.end(),
-              [](const auto &a, const auto &b) {
-                  return a->activity < b->activity;
-              });
+    std::sort(learnts_.begin(), learnts_.end(), [this](CRef a, CRef b) {
+        return clauseActivity(a) < clauseActivity(b);
+    });
     size_t target = learnts_.size() / 2;
+    size_t dropped = 0;
     size_t kept = 0;
-    std::vector<std::unique_ptr<Clause>> survivors;
-    survivors.reserve(learnts_.size());
-    for (auto &c : learnts_) {
-        bool drop = kept < target && c->lits.size() > 2 && !locked(c.get());
+    for (CRef c : learnts_) {
+        bool drop = dropped < target && clauseSize(c) > 2 && !locked(c);
         if (drop) {
-            detachClause(c.get());
+            detachClause(c);
+            freeClause(c);
             stats_.removedClauses++;
-            kept++; // counts dropped clauses toward the target
+            dropped++;
         } else {
-            survivors.push_back(std::move(c));
+            learnts_[kept++] = c;
         }
     }
-    learnts_ = std::move(survivors);
+    learnts_.resize(kept);
+    if (static_cast<double>(wastedWords_) >
+        kArenaWasteShare * static_cast<double>(arena_.size()))
+        compactArena();
 }
 
 bool
@@ -384,12 +495,12 @@ Solver::search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
     int64_t conflictCount = 0;
 
     while (true) {
-        Clause *conflict = propagate();
+        CRef conflict = propagate();
         if (timedOut_) {
             cancelUntil(0);
             return false; // solveLimited reports Unknown
         }
-        if (conflict != nullptr) {
+        if (conflict != kNoClause) {
             stats_.conflicts++;
             conflictCount++;
             if (decisionLevel() == 0) {
@@ -397,7 +508,7 @@ Solver::search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
                 ok_ = false;
                 return false;
             }
-            std::vector<Lit> learnt;
+            std::vector<Lit> &learnt = learntBuf_;
             int btLevel = 0;
             analyze(conflict, learnt, btLevel);
             // Export before backtracking: computeLbd reads the trail
@@ -406,15 +517,13 @@ Solver::search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
                 exportLearnt(learnt);
             cancelUntil(btLevel);
             if (learnt.size() == 1) {
-                enqueue(learnt[0], nullptr);
+                enqueue(learnt[0], kNoClause);
             } else {
-                auto clause = std::make_unique<Clause>();
-                clause->learnt = true;
-                clause->lits = std::move(learnt);
-                claBumpActivity(clause.get());
-                attachClause(clause.get());
-                enqueue(clause->lits[0], clause.get());
-                learnts_.push_back(std::move(clause));
+                CRef clause = allocClause(learnt, /*learnt=*/true);
+                claBumpActivity(clause);
+                attachClause(clause);
+                enqueue(learnt[0], clause);
+                learnts_.push_back(clause);
                 stats_.learnedClauses++;
             }
             varDecayActivity();
@@ -467,7 +576,7 @@ Solver::search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
             stats_.decisions++;
         }
         trailLim_.push_back(static_cast<int>(trail_.size()));
-        enqueue(next, nullptr);
+        enqueue(next, kNoClause);
     }
 }
 
@@ -617,20 +726,18 @@ Solver::importShared()
             }
             if (pruned.size() == 1) {
                 shareStats_.imported++;
-                if (!enqueue(pruned[0], nullptr) ||
-                    propagate() != nullptr) {
+                if (!enqueue(pruned[0], kNoClause) ||
+                    propagate() != kNoClause) {
                     ok_ = false;
                     return false;
                 }
                 continue;
             }
-            auto clause = std::make_unique<Clause>();
-            clause->learnt = true;
-            clause->lits = pruned;
+            CRef clause = allocClause(pruned, /*learnt=*/true);
             // A fresh import deserves a fighting chance in reduceDB.
-            claBumpActivity(clause.get());
-            attachClause(clause.get());
-            learnts_.push_back(std::move(clause));
+            claBumpActivity(clause);
+            attachClause(clause);
+            learnts_.push_back(clause);
             shareStats_.imported++;
         }
     }

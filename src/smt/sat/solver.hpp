@@ -5,6 +5,20 @@
  * heap, phase saving, Luby restarts and activity-based learned-clause
  * database reduction.
  *
+ * Clause storage follows MiniSat's clause allocator (Eén & Sörensson,
+ * "An Extensible SAT-solver", SAT 2003): every clause of size two or
+ * more lives inline in one growable arena of 32-bit words, as a
+ * three-word header (size and flags, then the `double` activity)
+ * followed by its literals, and is named by its 32-bit offset (CRef).
+ * Watchers, reasons and the clause lists hold offsets, so a watcher
+ * visit reads the arena directly instead of chasing two pointers.
+ * reduceDB detaches the clauses it drops and only marks them in the
+ * arena; once they take more than a fifth of it (kArenaWasteShare),
+ * the live clauses are copied into a fresh arena in address order and
+ * every offset is relocated. Nothing a clause holds changes on the
+ * way, and no watch list is reordered, so the storage has no effect
+ * on the search.
+ *
  * This is the solver behind gpumc's built-in backend; the encoder can
  * alternatively target Z3 (see smt/z3_backend.hpp). Keeping a native
  * solver makes the whole pipeline self-contained and enables the
@@ -16,7 +30,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "smt/sat/clause_store.hpp"
@@ -64,7 +81,11 @@ class Solver {
      * Add a clause. Returns false if the solver becomes trivially
      * unsatisfiable (empty clause, or a root-level conflict).
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(std::span<const Lit> lits);
+    bool addClause(std::initializer_list<Lit> lits)
+    {
+        return addClause(std::span<const Lit>(lits.begin(), lits.size()));
+    }
 
     enum class Status { Sat, Unsat, Unknown };
 
@@ -132,17 +153,41 @@ class Solver {
     /** True if addClause has already derived root-level unsatisfiability. */
     bool inConflict() const { return !ok_; }
 
+    /** Words in the clause arena, including those of dropped clauses. */
+    size_t arenaWords() const { return arena_.size(); }
+    /** Arena words of the clauses still in the database. */
+    size_t liveClauseWords() const;
+
   private:
-    struct Clause {
-        double activity = 0.0;
-        bool learnt = false;
-        std::vector<Lit> lits;
-    };
+    /** Offset of a clause's header in arena_. */
+    using CRef = uint32_t;
+    static constexpr CRef kNoClause = std::numeric_limits<CRef>::max();
+    /** Size and flags, then the activity (a double in two words). */
+    static constexpr uint32_t kHeaderWords = 3;
+    static constexpr int32_t kLearntFlag = 1;
+    static constexpr int32_t kDroppedFlag = 2;
+    static constexpr int kFlagBits = 2;
 
     struct Watcher {
-        Clause *clause = nullptr;
+        CRef clause = kNoClause;
         Lit blocker;
     };
+
+    // --- clause arena ---------------------------------------------------
+    uint32_t clauseSize(CRef c) const
+    {
+        return static_cast<uint32_t>(arena_[c].x) >> kFlagBits;
+    }
+    bool isLearnt(CRef c) const { return (arena_[c].x & kLearntFlag) != 0; }
+    Lit *clauseLits(CRef c) { return arena_.data() + c + kHeaderWords; }
+    double clauseActivity(CRef c) const;
+    void setClauseActivity(CRef c, double activity);
+    CRef allocClause(std::span<const Lit> lits, bool learnt);
+    /** Mark a detached clause as dropped; its words become waste. */
+    void freeClause(CRef c);
+    /** Copy the live clauses into a fresh arena and relocate every
+     *  offset held by watchers, reasons and the clause lists. */
+    void compactArena();
 
     // --- internal machinery -------------------------------------------
     LBool value(Lit l) const
@@ -156,17 +201,18 @@ class Solver {
         return static_cast<int>(trailLim_.size());
     }
 
-    void attachClause(Clause *c);
-    void detachClause(Clause *c);
-    bool enqueue(Lit l, Clause *reason);
-    Clause *propagate();
-    void analyze(Clause *conflict, std::vector<Lit> &outLearnt,
+    void attachClause(CRef c);
+    void detachClause(CRef c);
+    bool enqueue(Lit l, CRef reason);
+    /** Returns the conflicting clause, or kNoClause. */
+    CRef propagate();
+    void analyze(CRef conflict, std::vector<Lit> &outLearnt,
                  int &outBtLevel);
     void cancelUntil(int level);
     Lit pickBranchLit();
     void varBumpActivity(Var v);
     void varDecayActivity();
-    void claBumpActivity(Clause *c);
+    void claBumpActivity(CRef c);
     void claDecayActivity();
     void reduceDB();
     bool search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
@@ -196,14 +242,23 @@ class Solver {
     std::vector<LBool> assigns_;
     std::vector<bool> polarity_; // saved phases
     std::vector<int> level_;
-    std::vector<Clause *> reason_;
+    std::vector<CRef> reason_;
     std::vector<Lit> trail_;
     std::vector<int> trailLim_;
     size_t qhead_ = 0;
 
     std::vector<std::vector<Watcher>> watches_; // indexed by Lit::index()
-    std::vector<std::unique_ptr<Clause>> clauses_;
-    std::vector<std::unique_ptr<Clause>> learnts_;
+    /**
+     * The clause arena: a clause at offset c is
+     *   arena_[c].x          size << kFlagBits | dropped | learnt
+     *   arena_[c + 1 .. 2]   activity (a double, copied bytewise)
+     *   arena_[c + 3 ...]    its literals
+     */
+    std::vector<Lit> arena_;
+    /** Words of dropped clauses still in arena_. */
+    size_t wastedWords_ = 0;
+    std::vector<CRef> clauses_;
+    std::vector<CRef> learnts_;
 
     std::vector<double> activity_;
     double varInc_ = 1.0;
@@ -214,6 +269,13 @@ class Solver {
 
     std::vector<uint8_t> seen_;
     std::vector<LBool> model_;
+
+    // Scratch buffers, kept to reuse their capacity: addClause's
+    // normalized copy, the clause a conflict teaches, and the
+    // variables analyze() marks.
+    std::vector<Lit> addBuf_;
+    std::vector<Lit> learntBuf_;
+    std::vector<Var> markedBuf_;
 
     int64_t timeLimitMs_ = 0;
     /**

@@ -40,7 +40,7 @@ Z3Backend::newVar()
 }
 
 void
-Z3Backend::addClause(const std::vector<Lit> &clause)
+Z3Backend::addClause(std::span<const Lit> clause)
 {
     impl_->clauseCount++;
     if (clause.size() == 1) {

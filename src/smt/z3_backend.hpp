@@ -18,8 +18,9 @@ class Z3Backend : public Backend {
     Z3Backend();
     ~Z3Backend() override;
 
+    using Backend::addClause;
     Lit newVar() override;
-    void addClause(const std::vector<Lit> &clause) override;
+    void addClause(std::span<const Lit> clause) override;
     SolveResult solve(const std::vector<Lit> &assumptions) override;
     void setTimeLimitMs(int64_t ms) override;
     TruthValue modelValue(Lit lit) const override;

@@ -157,9 +157,11 @@ exists (P0:r0 == 0 /\ P1:r1 == 0)
     // constant outside the program's stores (a 3-bit SMT encoding made
     // 8 equal 0), a store wider than 8 bits (the enumerative engines
     // kept only its low byte, 300 & 255 = 44), a static barrier id
-    // that did not fit the SMT width (8 met the dynamic id 0), and a
+    // that did not fit the SMT width (8 met the dynamic id 0), a
     // condition constant at the top of int64_t (sizing the SMT width
-    // for it overflowed).
+    // for it overflowed), and adds whose growth the SMT width did not
+    // count: doubling a register (16 wrapped to 0) and a constant on
+    // the left (36 wrapped to 4).
     {"value-cond-const", R"(
 PTX
 P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
@@ -186,6 +188,29 @@ PTX
 P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
 st.weak x, 7   | ld.weak r0, x  ;
 exists (P1:r0 == 9223372036854775807)
+)"},
+    {"value-reg-reg-add", R"(
+PTX
+{ x = 1; }
+P0@cta 0,gpu 0 ;
+ld.weak r1, x  ;
+add r2, r1, r1 ;
+add r3, r2, r2 ;
+add r4, r3, r3 ;
+add r5, r4, r4 ;
+exists (P0:r5 == 0)
+)"},
+    {"value-const-lhs-add", R"(
+PTX
+{ x = 1; }
+P0@cta 0,gpu 0 ;
+ld.weak r1, x  ;
+add r2, 7, r1  ;
+add r3, 7, r2  ;
+add r4, 7, r3  ;
+add r5, 7, r4  ;
+add r6, 7, r5  ;
+exists (P0:r6 == 4)
 )"},
 };
 
