@@ -47,7 +47,8 @@ publish(const StatsRegistry &stats)
     for (const auto &[key, value] : stats.all()) {
         if (key == "queriesOnSharedSession")
             continue;
-        if (key == "events" || key == "smtVars" || key == "smtClauses")
+        if (key == "events" || key == "smtVars" || key == "smtClauses" ||
+            key == "smtAcyclicEdges")
             tracer.counterMax(key, value);
         else
             tracer.counterAdd(key, value);
@@ -487,6 +488,7 @@ Verifier::run(Property property)
     result.stats.set("events", s.up.numEvents());
     result.stats.set("smtVars", s.backend->numVars());
     result.stats.set("smtClauses", s.backend->numClauses());
+    result.stats.set("smtAcyclicEdges", s.backend->numAcyclicEdges());
 
     // The property-specific encoding above is part of the encode phase.
     s.checkEncodeMs += Session::takePhase(s.phaseWatch);
@@ -632,6 +634,7 @@ Verifier::exportPipelineStats(StatsRegistry &stats) const
     stats.set("events", s.up.numEvents());
     stats.set("smtVars", s.backend->numVars());
     stats.set("smtClauses", s.backend->numClauses());
+    stats.set("smtAcyclicEdges", s.backend->numAcyclicEdges());
     return true;
 }
 

@@ -413,6 +413,20 @@ RelationEncoder::assertAcyclic(const Expr &expr)
     const PairSet &ub = ra_.boundsOf(expr).ub;
     if (ub.empty())
         return;
+    std::vector<smt::AcyclicEdge> edges;
+    for (auto [a, b] : ub.pairs()) {
+        Lit edge = encode(expr, a, b);
+        if (a == b)
+            c_.assertLit(c_.mkNot(edge));
+        else if (!c_.isFalse(edge))
+            edges.push_back({a, b, edge});
+    }
+    if (c_.backend().addAcyclic(edges))
+        return;
+
+    // The backend declined: order the events by bit-vector clocks, one
+    // per event on an edge, and let every edge imply that its source's
+    // clock is below its target's.
     int n = pe_.unrolled().numEvents();
     int clockBits = 1;
     while ((1 << clockBits) < n + 1)
@@ -425,12 +439,9 @@ RelationEncoder::assertAcyclic(const Expr &expr)
         return it->second;
     };
     for (auto [a, b] : ub.pairs()) {
-        if (a == b) {
-            c_.assertLit(c_.mkNot(encode(expr, a, b)));
-            continue;
-        }
-        c_.assertImplies(encode(expr, a, b),
-                         pe_.bv().ult(clockOf(a), clockOf(b)));
+        if (a != b)
+            c_.assertImplies(encode(expr, a, b),
+                             pe_.bv().ult(clockOf(a), clockOf(b)));
     }
 }
 

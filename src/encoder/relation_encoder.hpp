@@ -62,6 +62,14 @@ class RelationEncoder {
     smt::Lit encodeClosure(const cat::Expr &expr, int a, int b);
     smt::Lit closureLit(ClosureInfo &info, const cat::Expr &expr, int a,
                         int b);
+    /**
+     * `acyclic expr`: a self-loop of the upper bound is asserted false,
+     * and the other pairs whose literal is not constant false go to
+     * smt::Backend::addAcyclic as edges. The builtin backend enforces
+     * them with a cycle-detecting propagator in its SAT solver; where
+     * the backend declines (Z3), each event gets a bit-vector clock and
+     * every pair implies an unsigned less-than of its two clocks.
+     */
     void assertAcyclic(const cat::Expr &expr);
 
     /**

@@ -1,8 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "program/unroller.hpp"
 #include "support/json.hpp"
 
@@ -10,18 +7,16 @@ namespace gpumc::serve {
 
 namespace {
 
-/** Re-serialize a parsed id value for verbatim echoing. */
+/** Re-serialize a parsed id value for verbatim echoing: a number as
+ *  its source text, which may be out of any C++ type's range. */
 std::string
 serializeId(const JsonValue &v)
 {
     switch (v.kind) {
       case JsonValue::Kind::String:
         return jsonString(v.text);
-      case JsonValue::Kind::Number: {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%" PRId64, v.asInt());
-        return buf;
-      }
+      case JsonValue::Kind::Number:
+        return v.text;
       case JsonValue::Kind::Bool:
         return v.boolean ? "true" : "false";
       default:
@@ -135,14 +130,14 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         }
     }
     if (const JsonValue *v = doc.find("bound")) {
-        if (!v->isNumber() || v->asInt() < prog::kMinBound ||
-            v->asInt() > prog::kMaxBound) {
+        std::optional<int64_t> bound = v->asInt();
+        if (!bound || *bound < prog::kMinBound || *bound > prog::kMaxBound) {
             return failParse(error,
-                             "'bound' must be in [" +
+                             "'bound' must be an integer in [" +
                                  std::to_string(prog::kMinBound) + ", " +
                                  std::to_string(prog::kMaxBound) + "]");
         }
-        out.bound = static_cast<int>(v->asInt());
+        out.bound = static_cast<int>(*bound);
     }
     if (const JsonValue *v = doc.find("backend")) {
         if (!v->isString())
@@ -156,9 +151,11 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         }
     }
     if (const JsonValue *v = doc.find("timeout_ms")) {
-        if (!v->isNumber() || v->asInt() < 0)
-            return failParse(error, "'timeout_ms' must be >= 0");
-        out.timeoutMs = v->asInt();
+        std::optional<int64_t> timeoutMs = v->asInt();
+        if (!timeoutMs || *timeoutMs < 0)
+            return failParse(error, "'timeout_ms' must be an integer in "
+                                    "[0, 9223372036854775807]");
+        out.timeoutMs = *timeoutMs;
     }
     if (const JsonValue *v = doc.find("no_cache")) {
         if (!v->isBool())

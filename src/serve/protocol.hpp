@@ -6,14 +6,16 @@
  * Request fields (all optional unless noted):
  *   op          "verify" (default) | "metrics" | "ping" | "shutdown"
  *   id          string or number, echoed verbatim into the response
+ *               (a number as its source text)
  *   litmus      litmus source text (required for verify)
  *   model       model name resolved as <cat-dir>/<name>.cat
  *   model_source  inline .cat source (alternative to `model`)
  *   property    "program_spec" (default) | "cat_spec" | "liveness"
- *   bound       loop unroll bound (default 2)
+ *   bound       loop unroll bound, an integer (default 2)
  *   backend     "builtin" (default) | "z3"
  *   timeout_ms  wall-clock budget for the whole request, admission to
- *               verdict (0 = unlimited, subject to the server cap)
+ *               verdict, an integer (0 = unlimited, subject to the
+ *               server cap)
  *   no_cache    bypass the result cache for this request
  *
  * Responses (see docs/SERVING.md for the full schema):

@@ -210,12 +210,16 @@ ResultCache::loadFromFile(const std::string &path)
         const JsonValue *detail = entry.find("detail");
         const JsonValue *solveMs = entry.find("solve_ms");
         ResultKey key;
-        if (!error.empty() || !keyField || !property || !holds ||
-            !detail || !solveMs || !property->isNumber() ||
-            !holds->isBool() || !detail->isString() ||
-            !solveMs->isNumber() || !decodeKey(*keyField, key.first))
+        std::optional<int64_t> propertyId =
+            property ? property->asInt() : std::nullopt;
+        if (!error.empty() || !keyField || !propertyId ||
+            *propertyId < 0 ||
+            *propertyId > static_cast<int64_t>(core::Property::CatSpec) ||
+            !holds || !detail || !solveMs || !holds->isBool() ||
+            !detail->isString() || !solveMs->isNumber() ||
+            !decodeKey(*keyField, key.first))
             return startCold("malformed entry");
-        key.second = static_cast<int>(property->asInt());
+        key.second = static_cast<int>(*propertyId);
         CachedResult value;
         value.holds = holds->boolean;
         value.detail = detail->text;

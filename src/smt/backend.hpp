@@ -2,9 +2,12 @@
  * @file
  * Solver-independent backend interface. The encoder produces plain CNF
  * through this interface, so any backend that can handle clauses over
- * boolean variables plugs in. Two implementations ship with gpumc:
- *  - BuiltinBackend: the from-scratch CDCL solver in smt/sat.
- *  - Z3Backend: the native Z3 C++ API.
+ * boolean variables plugs in; the one other constraint, acyclicity
+ * (addAcyclic), may be declined and is then encoded in clauses too.
+ * Two implementations ship with gpumc:
+ *  - BuiltinBackend: the from-scratch CDCL solver in smt/sat, which
+ *    takes the acyclicity constraints into its search.
+ *  - Z3Backend: the native Z3 C++ API, which declines them.
  */
 
 #ifndef GPUMC_SMT_BACKEND_HPP
@@ -33,6 +36,13 @@ enum class SolveResult { Sat, Unsat, Unknown };
 /** Truth value of a literal in a model. */
 enum class TruthValue { False, True, Unknown };
 
+/** One edge of an acyclicity constraint: present iff @p lit is true. */
+struct AcyclicEdge {
+    int from = 0;
+    int to = 0;
+    Lit lit = 0;
+};
+
 class Backend {
   public:
     virtual ~Backend() = default;
@@ -50,6 +60,17 @@ class Backend {
     {
         addClause(std::span<const Lit>(clause.begin(), clause.size()));
     }
+
+    /**
+     * Constrain the edges whose literals are true to form an acyclic
+     * graph. A backend that enforces the constraint itself returns
+     * true. The default declines, and the caller must then encode the
+     * constraint in clauses.
+     */
+    virtual bool addAcyclic(std::span<const AcyclicEdge>) { return false; }
+
+    /** Edges taken over by addAcyclic so far. */
+    virtual int64_t numAcyclicEdges() const { return 0; }
 
     /** Solve the asserted clauses under optional assumptions. */
     virtual SolveResult solve(const std::vector<Lit> &assumptions = {}) = 0;
@@ -91,8 +112,9 @@ class Backend {
      * backend-defined named counters. Both shipped backends report at
      * least `solveCalls`; the builtin CDCL solver additionally reports
      * `conflicts`, `decisions`, `propagations`, `restarts`,
-     * `learnedClauses` and `removedClauses`, and Z3 whatever its
-     * native statistics expose (keys normalized to snake-ish form).
+     * `learnedClauses`, `removedClauses` and `acyclicConflicts`, and Z3
+     * whatever its native statistics expose (keys normalized to
+     * snake-ish form).
      */
     virtual std::map<std::string, int64_t> statistics() const
     {

@@ -39,6 +39,23 @@ BuiltinBackend::addClause(std::span<const Lit> clause)
         unsat_ = true;
 }
 
+bool
+BuiltinBackend::addAcyclic(std::span<const AcyclicEdge> edges)
+{
+    std::vector<sat::AcyclicEdge> graph;
+    graph.reserve(edges.size());
+    for (const AcyclicEdge &edge : edges) {
+        GPUMC_ASSERT(edge.lit != 0, "invalid zero literal");
+        graph.push_back({edge.from, edge.to, toSat(edge.lit)});
+    }
+    numAcyclicEdges_ += static_cast<int64_t>(edges.size());
+    if (!solver_.addAcyclic(graph))
+        unsat_ = true;
+    if (cubeDepth_ > 0)
+        recordedGraphs_.push_back(std::move(graph));
+    return true;
+}
+
 SolveResult
 BuiltinBackend::solve(const std::vector<Lit> &assumptions)
 {
@@ -138,6 +155,8 @@ BuiltinBackend::solveCubes(const std::vector<sat::Lit> &assumps)
                 break;
             }
         }
+        for (size_t i = 0; consistent && i < recordedGraphs_.size(); ++i)
+            consistent = solver->addAcyclic(recordedGraphs_[i]);
         if (!consistent) {
             results[static_cast<size_t>(cube)] = SolveResult::Unsat;
             return;
@@ -168,6 +187,7 @@ BuiltinBackend::solveCubes(const std::vector<sat::Lit> &assumps)
             cubeStats_.restarts += st.restarts;
             cubeStats_.learnedClauses += st.learnedClauses;
             cubeStats_.removedClauses += st.removedClauses;
+            cubeStats_.acyclicConflicts += st.acyclicConflicts;
             const sat::ShareStats &sh = solver->shareStats();
             cubeShareStats_.exported += sh.exported;
             cubeShareStats_.imported += sh.imported;
@@ -220,6 +240,7 @@ BuiltinBackend::statistics() const
         {"restarts", count(st.restarts)},
         {"learnedClauses", count(st.learnedClauses)},
         {"removedClauses", count(st.removedClauses)},
+        {"acyclicConflicts", count(st.acyclicConflicts)},
     };
     if (cubeDepth_ > 0) {
         std::lock_guard<std::mutex> lock(cubeMutex_);

@@ -1,10 +1,12 @@
 /**
  * @file
- * Backend adapter over the built-in CDCL solver, with an optional
- * cube-and-conquer mode: when constructed with cubeDepth > 0, each
- * solve() splits on the sign combinations of the highest-activity
- * unassigned variables and farms the cubes through the shared thread
- * budget, first-Sat-wins (lowest cube index, for determinism).
+ * Backend adapter over the built-in CDCL solver. It takes over every
+ * acyclicity constraint (addAcyclic) as a graph of the solver's own.
+ * It has an optional cube-and-conquer mode: when constructed with
+ * cubeDepth > 0, each solve() splits on the sign combinations of the
+ * highest-activity unassigned variables and farms the cubes through
+ * the shared thread budget, first-Sat-wins (lowest cube index, for
+ * determinism).
  */
 
 #ifndef GPUMC_SMT_BUILTIN_BACKEND_HPP
@@ -26,6 +28,8 @@ class BuiltinBackend : public Backend {
     using Backend::addClause;
     Lit newVar() override;
     void addClause(std::span<const Lit> clause) override;
+    bool addAcyclic(std::span<const AcyclicEdge> edges) override;
+    int64_t numAcyclicEdges() const override { return numAcyclicEdges_; }
     SolveResult solve(const std::vector<Lit> &assumptions) override;
     void setTimeLimitMs(int64_t ms) override
     {
@@ -57,12 +61,15 @@ class BuiltinBackend : public Backend {
     int cubeDepth_ = 0;
     int64_t timeLimitMs_ = 0;
     int64_t numClauses_ = 0;
+    int64_t numAcyclicEdges_ = 0;
     int64_t solveCalls_ = 0;
     bool unsat_ = false;
 
     // --- cube-and-conquer state (all idle when cubeDepth_ == 0) ------
-    /** Original clauses, replayed into the per-cube solvers. */
+    /** Original clauses and acyclicity graphs, replayed into the
+     *  per-cube solvers. */
     std::vector<std::vector<sat::Lit>> recorded_;
+    std::vector<std::vector<sat::AcyclicEdge>> recordedGraphs_;
     /** The cube solver whose model answered the last Sat query. */
     std::unique_ptr<sat::Solver> cubeModel_;
     /** In-flight cube solvers, so a Sat cube can cancel its

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "support/diagnostics.hpp"
 
@@ -103,6 +104,241 @@ Solver::addClause(std::span<const Lit> lits)
     attachClause(clause);
     clauses_.push_back(clause);
     return true;
+}
+
+bool
+Solver::addAcyclic(std::span<const AcyclicEdge> edges)
+{
+    GPUMC_ASSERT(decisionLevel() == 0,
+                 "acyclicity constraints must be added at level 0");
+    if (!ok_)
+        return false;
+    Graph g;
+    int numNodes = 0;
+    for (const AcyclicEdge &edge : edges) {
+        GPUMC_ASSERT(edge.from >= 0 && edge.to >= 0 &&
+                         edge.lit.var() >= 0 && edge.lit.var() < numVars(),
+                     "acyclic edge references unknown node or variable");
+        if (value(edge.lit) == LBool::False)
+            continue;
+        g.edges.push_back(edge);
+        numNodes = std::max({numNodes, edge.from + 1, edge.to + 1});
+    }
+    if (g.edges.empty())
+        return true;
+    g.out.resize(numNodes);
+    g.in.resize(numNodes);
+    g.ord.resize(numNodes);
+    std::iota(g.ord.begin(), g.ord.end(), 0);
+    g.mark.assign(numNodes, 0);
+    g.via.assign(numNodes, kNoEdge);
+    const uint32_t graph = static_cast<uint32_t>(graphs_.size());
+    graphs_.push_back(std::move(g));
+    Graph &added = graphs_.back();
+
+    // Root edges join at once; a cycle among them is a root conflict.
+    std::vector<uint32_t> undecided;
+    for (uint32_t e = 0; e < added.edges.size(); ++e) {
+        if (value(added.edges[e].lit) == LBool::Undef) {
+            undecided.push_back(e);
+        } else if (linkEdge(added, e)) {
+            activeEdges_.push_back({graph, e});
+        } else {
+            ok_ = false;
+            return false;
+        }
+    }
+
+    // A literal whose own edges close a cycle with the root edges is
+    // false. Refuting it here keeps every cycle clause of the search
+    // at two literals or more. The other edges wait on their literal.
+    std::stable_sort(undecided.begin(), undecided.end(),
+                     [&added](uint32_t a, uint32_t b) {
+                         return added.edges[a].lit < added.edges[b].lit;
+                     });
+    if (edgeHead_.size() < 2 * static_cast<size_t>(numVars()))
+        edgeHead_.resize(2 * static_cast<size_t>(numVars()), kNoEdge);
+    std::vector<Lit> refuted;
+    std::vector<uint32_t> linked;
+    for (size_t i = 0; i < undecided.size();) {
+        const Lit lit = added.edges[undecided[i]].lit;
+        size_t end = i;
+        bool cyclic = false;
+        for (; end < undecided.size() &&
+               added.edges[undecided[end]].lit == lit;
+             ++end) {
+            if (cyclic)
+                continue;
+            if (linkEdge(added, undecided[end]))
+                linked.push_back(undecided[end]);
+            else
+                cyclic = true;
+        }
+        while (!linked.empty()) {
+            unlinkEdge(added, linked.back());
+            linked.pop_back();
+        }
+        if (cyclic) {
+            refuted.push_back(~lit);
+        } else {
+            for (; i < end; ++i) {
+                edgeWatches_.push_back(
+                    {{graph, undecided[i]}, edgeHead_[lit.index()]});
+                edgeHead_[lit.index()] =
+                    static_cast<uint32_t>(edgeWatches_.size() - 1);
+            }
+        }
+        i = end;
+    }
+    for (Lit l : refuted) {
+        if (!enqueue(l, kNoClause)) {
+            ok_ = false;
+            return false;
+        }
+    }
+    ok_ = propagate() == kNoClause;
+    return ok_;
+}
+
+uint32_t
+Solver::nextEpoch(Graph &g)
+{
+    if (++g.epoch == 0) {
+        std::fill(g.mark.begin(), g.mark.end(), 0);
+        g.epoch = 1;
+    }
+    return g.epoch;
+}
+
+bool
+Solver::linkEdge(Graph &g, uint32_t e)
+{
+    const int u = g.edges[e].from;
+    const int v = g.edges[e].to;
+    const int lower = g.ord[v];
+    const int upper = g.ord[u];
+    if (lower > upper) {
+        // The order already puts u first: no path v ~> u exists.
+        g.out[u].push_back(e);
+        g.in[v].push_back(e);
+        return true;
+    }
+    cycleBuf_.clear();
+    if (u == v) {
+        cycleBuf_.push_back(e);
+        return false;
+    }
+    // Breadth first from v through the nodes ordered before u: a path
+    // to u closes a cycle, and the first one found is a shortest.
+    uint32_t epoch = nextEpoch(g);
+    forwardBuf_.assign(1, v);
+    g.mark[v] = epoch;
+    for (size_t i = 0; i < forwardBuf_.size(); ++i) {
+        const int x = forwardBuf_[i];
+        for (uint32_t f : g.out[x]) {
+            const int y = g.edges[f].to;
+            if (y == u) {
+                cycleBuf_.push_back(e);
+                cycleBuf_.push_back(f);
+                for (int z = x; z != v; z = g.edges[g.via[z]].from)
+                    cycleBuf_.push_back(g.via[z]);
+                return false;
+            }
+            if (g.mark[y] != epoch && g.ord[y] < upper) {
+                g.mark[y] = epoch;
+                g.via[y] = f;
+                forwardBuf_.push_back(y);
+            }
+        }
+    }
+    // The nodes ordered after v that reach u.
+    epoch = nextEpoch(g);
+    backwardBuf_.assign(1, u);
+    g.mark[u] = epoch;
+    for (size_t i = 0; i < backwardBuf_.size(); ++i) {
+        for (uint32_t f : g.in[backwardBuf_[i]]) {
+            const int y = g.edges[f].from;
+            if (g.mark[y] != epoch && g.ord[y] > lower) {
+                g.mark[y] = epoch;
+                backwardBuf_.push_back(y);
+            }
+        }
+    }
+    // Both sets share out the positions they held: the backward set
+    // first, then the forward set, each in its old relative order.
+    auto byOrd = [&g](int a, int b) { return g.ord[a] < g.ord[b]; };
+    std::sort(forwardBuf_.begin(), forwardBuf_.end(), byOrd);
+    std::sort(backwardBuf_.begin(), backwardBuf_.end(), byOrd);
+    ordBuf_.clear();
+    for (int x : backwardBuf_)
+        ordBuf_.push_back(g.ord[x]);
+    for (int x : forwardBuf_)
+        ordBuf_.push_back(g.ord[x]);
+    std::sort(ordBuf_.begin(), ordBuf_.end());
+    size_t next = 0;
+    for (int x : backwardBuf_)
+        g.ord[x] = ordBuf_[next++];
+    for (int x : forwardBuf_)
+        g.ord[x] = ordBuf_[next++];
+    g.out[u].push_back(e);
+    g.in[v].push_back(e);
+    return true;
+}
+
+void
+Solver::unlinkEdge(Graph &g, uint32_t e)
+{
+    const AcyclicEdge &edge = g.edges[e];
+    GPUMC_ASSERT(g.out[edge.from].back() == e && g.in[edge.to].back() == e,
+                 "acyclic edges must leave in the reverse of their order");
+    g.out[edge.from].pop_back();
+    g.in[edge.to].pop_back();
+}
+
+Solver::CRef
+Solver::activateEdges(Lit p)
+{
+    for (uint32_t w = edgeHead_[p.index()]; w != kNoEdge;
+         w = edgeWatches_[w].next) {
+        const EdgeRef ref = edgeWatches_[w].ref;
+        Graph &g = graphs_[ref.graph];
+        if (!linkEdge(g, ref.edge))
+            return cycleConflict(g);
+        activeEdges_.push_back(ref);
+    }
+    return kNoClause;
+}
+
+Solver::CRef
+Solver::cycleConflict(const Graph &g)
+{
+    stats_.acyclicConflicts++;
+    std::vector<Lit> &lits = cycleLits_;
+    lits.clear();
+    for (uint32_t e : cycleBuf_) {
+        const Lit l = ~g.edges[e].lit;
+        if (!seen_[l.var()]) {
+            seen_[l.var()] = 1;
+            lits.push_back(l);
+        }
+    }
+    for (Lit l : lits)
+        seen_[l.var()] = 0;
+    GPUMC_ASSERT(lits.size() >= 2,
+                 "a cycle on one literal is refuted by addAcyclic");
+    // Watch the two literals assigned at the highest levels.
+    for (size_t slot = 0; slot < 2; ++slot) {
+        size_t best = slot;
+        for (size_t k = slot + 1; k < lits.size(); ++k) {
+            if (level_[lits[k].var()] > level_[lits[best].var()])
+                best = k;
+        }
+        std::swap(lits[slot], lits[best]);
+    }
+    const CRef clause = allocClause(lits, /*learnt=*/true);
+    attachClause(clause);
+    learnts_.push_back(clause);
+    return clause;
 }
 
 double
@@ -302,6 +538,14 @@ Solver::propagate()
             enqueue(first, c);
         }
         ws.resize(static_cast<size_t>(j - ws.data()));
+        if (static_cast<size_t>(p.index()) < edgeHead_.size() &&
+            edgeHead_[p.index()] != kNoEdge) {
+            const CRef cycle = activateEdges(p);
+            if (cycle != kNoClause) {
+                qhead_ = trail_.size();
+                return cycle;
+            }
+        }
     }
     return kNoClause;
 }
@@ -407,6 +651,16 @@ Solver::cancelUntil(int levelTo)
     trail_.resize(keep);
     trailLim_.resize(levelTo);
     qhead_ = trail_.size();
+    // The edges joined in trail order, so those whose literals were
+    // just unassigned are the last to have joined.
+    while (!activeEdges_.empty()) {
+        const EdgeRef ref = activeEdges_.back();
+        Graph &g = graphs_[ref.graph];
+        if (value(g.edges[ref.edge].lit) != LBool::Undef)
+            break;
+        unlinkEdge(g, ref.edge);
+        activeEdges_.pop_back();
+    }
 }
 
 Lit

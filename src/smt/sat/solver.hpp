@@ -19,6 +19,18 @@
  * way, and no watch list is reordered, so the storage has no effect
  * on the search.
  *
+ * Acyclicity constraints (addAcyclic) are enforced lazily, in the
+ * manner of CAAT ("Consistency as a Theory", Haas et al., OOPSLA
+ * 2022): each constraint is a graph of (from, to, literal) edges, and
+ * an edge joins it when propagate() takes its literal off the trail.
+ * The active edges keep a topological order of the nodes, maintained
+ * incrementally after Pearce and Kelly, so most insertions are one
+ * comparison. An edge that closes a cycle makes the cycle's negated
+ * edge literals a learnt conflict clause; cancelUntil takes out again
+ * every edge whose literal it unassigns. The encoder hands every
+ * `.cat` `acyclic` axiom over this way, instead of the bit-blasted
+ * clocks it still builds for Z3.
+ *
  * This is the solver behind gpumc's built-in backend; the encoder can
  * alternatively target Z3 (see smt/z3_backend.hpp). Keeping a native
  * solver makes the whole pipeline self-contained and enables the
@@ -50,6 +62,15 @@ struct SolverStats {
     uint64_t restarts = 0;
     uint64_t learnedClauses = 0;
     uint64_t removedClauses = 0;
+    /** Conflicts an acyclicity constraint raised (see addAcyclic). */
+    uint64_t acyclicConflicts = 0;
+};
+
+/** One edge of an acyclicity constraint: present iff @p lit is true. */
+struct AcyclicEdge {
+    int from = 0;
+    int to = 0;
+    Lit lit;
 };
 
 /** Clause-sharing statistics of one solver (see attachStore). */
@@ -86,6 +107,18 @@ class Solver {
     {
         return addClause(std::span<const Lit>(lits.begin(), lits.size()));
     }
+
+    /**
+     * Constrain the edges whose literals are true to form an acyclic
+     * graph over the nodes 0..max(from, to). Like addClause it is
+     * called at the root level, and each call adds one graph; the
+     * graphs of one solver are independent. Edges false at the root
+     * are dropped and edges true there join at once; a literal whose
+     * own edges close a cycle (a self-loop, or a cycle with the root
+     * edges) is asserted false. Returns false if the solver becomes
+     * unsatisfiable, as on a cycle of root edges.
+     */
+    bool addAcyclic(std::span<const AcyclicEdge> edges);
 
     enum class Status { Sat, Unsat, Unknown };
 
@@ -218,6 +251,51 @@ class Solver {
     bool search(int64_t conflictBudget, const std::vector<Lit> &assumptions,
                 bool &doneOut);
 
+    // --- acyclicity constraints ------------------------------------------
+    /**
+     * One addAcyclic graph. out/in list the active edges at each node
+     * in the order they joined, so the edge cancelUntil takes out is
+     * always the last of both of its lists. ord is a topological
+     * order of the nodes that every active edge respects; taking an
+     * edge out keeps it one.
+     */
+    struct Graph {
+        std::vector<AcyclicEdge> edges;
+        std::vector<std::vector<uint32_t>> out;
+        std::vector<std::vector<uint32_t>> in;
+        std::vector<int> ord;
+        /** Search marks (equal to epoch: visited) and, for the forward
+         *  search, the edge each node was reached by. */
+        std::vector<uint32_t> mark;
+        std::vector<uint32_t> via;
+        uint32_t epoch = 0;
+    };
+    struct EdgeRef {
+        uint32_t graph;
+        uint32_t edge;
+    };
+    /** An edge waiting on its literal, and the next one waiting on the
+     *  same literal (kNoEdge ends the list). */
+    struct EdgeWatch {
+        EdgeRef ref;
+        uint32_t next;
+    };
+    static constexpr uint32_t kNoEdge = std::numeric_limits<uint32_t>::max();
+
+    /**
+     * Insert edge @p e into its graph's active edges unless it closes
+     * a cycle; then leave the cycle's edges in cycleBuf_ and return
+     * false.
+     */
+    bool linkEdge(Graph &g, uint32_t e);
+    void unlinkEdge(Graph &g, uint32_t e);
+    uint32_t nextEpoch(Graph &g);
+    /** Activate the edges labelled @p p; returns a cycle's conflict
+     *  clause, or kNoClause. */
+    CRef activateEdges(Lit p);
+    /** The learnt conflict clause of the cycle in cycleBuf_. */
+    CRef cycleConflict(const Graph &g);
+
     // --- clause sharing -------------------------------------------------
     int computeLbd(const std::vector<Lit> &lits) const;
     void exportLearnt(const std::vector<Lit> &lits);
@@ -269,6 +347,21 @@ class Solver {
 
     std::vector<uint8_t> seen_;
     std::vector<LBool> model_;
+
+    std::vector<Graph> graphs_;
+    /** The edges each literal activates, as lists threaded through
+     *  edgeWatches_, headed by Lit::index(). */
+    std::vector<uint32_t> edgeHead_;
+    std::vector<EdgeWatch> edgeWatches_;
+    /** Every active edge, in the order the edges joined. */
+    std::vector<EdgeRef> activeEdges_;
+    // Scratch of linkEdge and cycleConflict: a cycle's edges, the two
+    // search sets, the positions they share, and the conflict clause.
+    std::vector<uint32_t> cycleBuf_;
+    std::vector<int> forwardBuf_;
+    std::vector<int> backwardBuf_;
+    std::vector<int> ordBuf_;
+    std::vector<Lit> cycleLits_;
 
     // Scratch buffers, kept to reuse their capacity: addClause's
     // normalized copy, the clause a conflict teaches, and the

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/string_utils.hpp"
+
 namespace gpumc {
 
 std::string
@@ -49,12 +51,12 @@ JsonValue::find(const std::string &key) const
     return it == members.end() ? nullptr : &it->second;
 }
 
-int64_t
+std::optional<int64_t>
 JsonValue::asInt() const
 {
     if (kind != Kind::Number)
-        return 0;
-    return static_cast<int64_t>(number);
+        return std::nullopt;
+    return parseInt(text);
 }
 
 namespace {
@@ -355,9 +357,8 @@ class JsonParser {
                 pos_++;
         }
         out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(
-            std::string(text_.substr(start, pos_ - start)).c_str(),
-            nullptr);
+        out.text = text_.substr(start, pos_ - start);
+        out.number = std::strtod(out.text.c_str(), nullptr);
         if (!std::isfinite(out.number))
             return fail("non-finite number");
         return true;

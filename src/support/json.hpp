@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,7 @@ struct JsonValue {
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
+    /** A string's decoded value, or a number's source text. */
     std::string text;
     std::vector<JsonValue> items;
     std::map<std::string, JsonValue> members;
@@ -54,8 +56,12 @@ struct JsonValue {
     /** Member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
-    /** The number as int64 (truncating); 0 if not a number. */
-    int64_t asInt() const;
+    /**
+     * The number exactly, if its source text is an integer literal
+     * (no fraction or exponent) within int64_t's range; nullopt
+     * otherwise, and for anything but a number.
+     */
+    std::optional<int64_t> asInt() const;
 };
 
 /**

@@ -17,21 +17,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string>
-collectCorpus()
-{
-    std::vector<std::string> out;
-    for (const auto &entry :
-         fs::recursive_directory_iterator(GPUMC_LITMUS_DIR)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".litmus") {
-            out.push_back(entry.path().string());
-        }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 class Corpus : public ::testing::TestWithParam<std::string> {};
 
 void
@@ -96,7 +81,7 @@ TEST_P(Corpus, MeetsExpectations)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Files, Corpus, ::testing::ValuesIn(collectCorpus()),
+    Files, Corpus, ::testing::ValuesIn(corpusFiles()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         fs::path p(info.param);
         std::string name = p.stem().string();

@@ -106,6 +106,37 @@ TEST_P(CubeAndConquer, VerdictsMatchPlainSolve)
         EXPECT_GE(stats.at("cube.solves"), 1);
     }
 
+    // An acyclicity constraint, which the cube workers get along with
+    // the clauses: every pair of four nodes is ordered one way or the
+    // other, and the chain 0 -> 1 -> 2 -> 3 then forces each edge
+    // forward.
+    std::unique_ptr<smt::Backend> orderCase =
+        smt::makeBackend(smt::BackendKind::Builtin, config);
+    std::vector<smt::AcyclicEdge> edges;
+    for (int a = 0; a < 4; ++a) {
+        for (int b = 0; b < 4; ++b) {
+            if (a != b)
+                edges.push_back({a, b, orderCase->newVar()});
+        }
+    }
+    auto edge = [&edges](int a, int b) {
+        return edges[static_cast<size_t>(3 * a + (b < a ? b : b - 1))].lit;
+    };
+    for (int a = 0; a < 4; ++a) {
+        for (int b = a + 1; b < 4; ++b)
+            orderCase->addClause({edge(a, b), edge(b, a)});
+    }
+    ASSERT_TRUE(orderCase->addAcyclic(edges));
+    for (int a = 0; a < 3; ++a)
+        orderCase->addClause({edge(a, a + 1)});
+    ASSERT_EQ(orderCase->solve(), smt::SolveResult::Sat);
+    for (const smt::AcyclicEdge &e : edges) {
+        EXPECT_EQ(orderCase->modelValue(e.lit) == smt::TruthValue::True,
+                  e.from < e.to)
+            << e.from << " -> " << e.to;
+    }
+    EXPECT_EQ(orderCase->solve({edge(3, 0)}), smt::SolveResult::Unsat);
+
     // Incremental reuse with assumptions falls back to the plain
     // solver path or stays correct through cubes — either way the
     // verdict under an assumption must flip with its sign.

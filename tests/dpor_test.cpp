@@ -443,21 +443,6 @@ TEST(DporChecker, AgreesWithSmtOnFuzzSeeds)
 // never exploring more candidates than the baseline does.
 // ---------------------------------------------------------------------
 
-std::vector<std::string>
-collectCorpus()
-{
-    std::vector<std::string> out;
-    for (const auto &entry :
-         fs::recursive_directory_iterator(GPUMC_LITMUS_DIR)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".litmus") {
-            out.push_back(entry.path().string());
-        }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 class DporCorpus : public ::testing::TestWithParam<std::string> {};
 
 void
@@ -516,7 +501,7 @@ TEST_P(DporCorpus, AgreesWithSmtAndExplicit)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Files, DporCorpus, ::testing::ValuesIn(collectCorpus()),
+    Files, DporCorpus, ::testing::ValuesIn(corpusFiles()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         fs::path p(info.param);
         std::string name = p.stem().string();

@@ -356,6 +356,20 @@ TEST(Protocol, RejectsMalformedRequests)
         {R"({"litmus":"x","model":"m","backend":"portfolio"})", "backend"},
         {R"({"litmus":"x","model":"m","timeout_ms":-5})", "timeout"},
         {R"({"litmus":"x","model":"m","no_cache":1})", "no_cache"},
+        // Integers only, read exactly: no fraction, no exponent, and
+        // nothing outside int64_t.
+        {R"({"litmus":"x","model":"m","bound":2.7})", "bound"},
+        {R"({"litmus":"x","model":"m","bound":2.0})", "bound"},
+        {R"({"litmus":"x","model":"m","bound":1e1})", "bound"},
+        {R"({"litmus":"x","model":"m","bound":18446744073709551618})",
+         "bound"},
+        {R"({"litmus":"x","model":"m","bound":"2"})", "bound"},
+        {R"({"litmus":"x","model":"m","timeout_ms":0.5})", "timeout"},
+        {R"({"litmus":"x","model":"m","timeout_ms":1e3})", "timeout"},
+        {R"({"litmus":"x","model":"m","timeout_ms":9223372036854775808})",
+         "timeout"},
+        {R"({"litmus":"x","model":"m","timeout_ms":-9223372036854775809})",
+         "timeout"},
     };
     for (const Case &c : cases) {
         serve::Request req;
@@ -364,6 +378,17 @@ TEST(Protocol, RejectsMalformedRequests)
             << c.line;
         EXPECT_FALSE(error.empty()) << c.line;
     }
+
+    // The ends of each range are accepted as they are written.
+    serve::Request req;
+    std::string error;
+    ASSERT_TRUE(serve::parseRequest(
+        R"({"litmus":"x","model":"m","bound":64,)"
+        R"("timeout_ms":9223372036854775807})",
+        req, error))
+        << error;
+    EXPECT_EQ(req.bound, 64);
+    EXPECT_EQ(req.timeoutMs, INT64_MAX);
 }
 
 TEST(Protocol, ErrorResponseEchoesNumericId)
@@ -376,6 +401,18 @@ TEST(Protocol, ErrorResponseEchoesNumericId)
               R"({"id":42,"status":"error","message":"boom"})");
     EXPECT_EQ(serve::overloadedResponse("7"),
               R"({"id":7,"status":"overloaded"})");
+
+    // A numeric id comes back as it was written, whatever its value.
+    for (const char *id : {"1.5", "12345678901234567890", "-0.25e-3",
+                           "-9223372036854775809", "0"}) {
+        serve::Request numeric;
+        EXPECT_FALSE(serve::parseRequest(
+            std::string(R"({"id":)") + id + R"(,"op":"bogus"})", numeric,
+            error));
+        EXPECT_EQ(serve::errorResponse(numeric.id, "boom"),
+                  std::string(R"({"id":)") + id +
+                      R"(,"status":"error","message":"boom"})");
+    }
 }
 
 /** Engine over the shipped cat/ directory with a tiny worker pool. */

@@ -7,7 +7,10 @@
 #ifndef GPUMC_TESTS_TEST_UTIL_HPP
 #define GPUMC_TESTS_TEST_UTIL_HPP
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "cat/model.hpp"
 #include "core/verifier.hpp"
@@ -25,6 +28,22 @@ inline std::string
 litmusPath(const std::string &file)
 {
     return std::string(GPUMC_LITMUS_DIR) + "/" + file;
+}
+
+/** Every shipped `.litmus` file under the corpus root, sorted. */
+inline std::vector<std::string>
+corpusFiles()
+{
+    std::vector<std::string> out;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(GPUMC_LITMUS_DIR)) {
+        if (entry.is_regular_file() &&
+            entry.path().extension() == ".litmus") {
+            out.push_back(entry.path().string());
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 inline const cat::CatModel &

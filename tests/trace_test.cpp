@@ -232,8 +232,8 @@ TEST(Trace, MetricsReconcileWithVerificationResultStats)
         }
     }
     for (const auto &[key, sum] : sums) {
-        bool gauge =
-            key == "events" || key == "smtVars" || key == "smtClauses";
+        bool gauge = key == "events" || key == "smtVars" ||
+                     key == "smtClauses" || key == "smtAcyclicEdges";
         if (key == "queriesOnSharedSession")
             continue;
         EXPECT_EQ(tracer.counter(key), gauge ? maxes[key] : sum)

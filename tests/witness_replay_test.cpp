@@ -5,7 +5,10 @@
  * the same builders the enumerative engines use, over the witness's
  * executed events, and rf, co, sync_fence and the barrier ids from the
  * witness. A witness replays as consistent under the model that found
- * it, and replay rejects an execution the model forbids.
+ * it, and replay rejects an execution the model forbids. Every Sat
+ * witness of the corpus's `@expect` queries on the builtin backend
+ * replays too, so an `acyclic` axiom its solver fails to enforce shows
+ * up as a witness the `.cat` evaluator rejects.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "analysis/relation_analysis.hpp"
 #include "core/witness.hpp"
 #include "program/unroller.hpp"
+#include "support/string_utils.hpp"
 #include "tests/test_util.hpp"
 
 namespace gpumc::test {
@@ -114,6 +118,59 @@ TEST(WitnessReplay, DynamicBarrierIdsComeFromTheModel)
     core::ExecutionWitness same = r.witness;
     same.events[barriers[0]].barrierId = same.events[barriers[1]].barrierId;
     EXPECT_FALSE(core::witnessConsistent(same, r.ra, ptx60Model()));
+}
+
+/** The properties a corpus file expects a verdict for under @p model,
+ *  as the corpus runner reads its `@expect` directives. */
+std::vector<core::Property>
+expectedProperties(const prog::Program &program, const cat::CatModel &model,
+                   const std::string &safetyKey)
+{
+    std::vector<core::Property> out;
+    if (program.meta.count(safetyKey) || program.meta.count("safety"))
+        out.push_back(core::Property::Safety);
+    if (program.meta.count("liveness"))
+        out.push_back(core::Property::Liveness);
+    if (program.meta.count("drf") && model.hasFlaggedAxioms())
+        out.push_back(core::Property::CatSpec);
+    return out;
+}
+
+TEST(WitnessReplay, EveryCorpusSatWitnessIsConsistent)
+{
+    int replayed = 0;
+    for (const std::string &file : corpusFiles()) {
+        prog::Program program = litmus::parseLitmusFile(file);
+        std::vector<std::pair<const cat::CatModel *, std::string>> models;
+        if (program.arch == prog::Arch::Ptx)
+            models = {{&ptx60Model(), "safety-v60"},
+                      {&ptx75Model(), "safety-v75"}};
+        else
+            models = {{&vulkanModel(), "safety"}};
+        core::VerifierOptions options;
+        options.backend = smt::BackendKind::Builtin;
+        if (auto it = program.meta.find("bound"); it != program.meta.end())
+            options.bound = static_cast<int>(parseInt(it->second).value());
+        prog::UnrolledProgram up = prog::unroll(program, options.bound);
+        analysis::ExecAnalysis exec(up);
+        for (const auto &[model, safetyKey] : models) {
+            analysis::RelationAnalysis ra(exec, *model);
+            core::Verifier verifier(program, *model, options);
+            for (core::Property property :
+                 expectedProperties(program, *model, safetyKey)) {
+                core::VerificationResult result = verifier.check(property);
+                ASSERT_FALSE(result.unknown) << file;
+                if (!result.witness)
+                    continue;
+                EXPECT_TRUE(
+                    core::witnessConsistent(*result.witness, ra, *model))
+                    << file << " [" << model->name() << "] "
+                    << result.detail;
+                replayed++;
+            }
+        }
+    }
+    EXPECT_GT(replayed, 50);
 }
 
 } // namespace
