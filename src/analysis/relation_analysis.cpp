@@ -17,17 +17,10 @@ using prog::UnrolledProgram;
 RelationAnalysis::RelationAnalysis(const ExecAnalysis &exec,
                                    const cat::CatModel &model)
     : exec_(exec), model_(&model),
-      deps_(computeDependencies(exec.unrolled()))
+      deps_(computeDependencies(exec.unrolled())),
+      bounds_(model.numNodes(), nullptr), derived_(model.numNodes()),
+      sets_(model.numNodes(), nullptr), derivedSets_(model.numNodes())
 {
-}
-
-std::vector<int>
-RelationAnalysis::allEventIds() const
-{
-    std::vector<int> out(numEvents());
-    for (int i = 0; i < numEvents(); ++i)
-        out[i] = i;
-    return out;
 }
 
 const Bounds &
@@ -283,42 +276,59 @@ RelationAnalysis::computeBase(const std::string &name)
 const std::vector<bool> &
 RelationAnalysis::setOf(const Expr &expr)
 {
-    auto it = setCache_.find(&expr);
-    if (it != setCache_.end())
+    // sets_ is never resized, so the slot survives the recursion.
+    const std::vector<bool> *&slot = sets_[model_->idOf(expr)];
+    if (slot)
+        return *slot;
+    GPUMC_ASSERT(expr.type == cat::ExprType::Set);
+    if (expr.kind != ExprKind::Name) {
+        std::vector<bool> &own = derivedSets_[expr.id];
+        own = computeSet(expr);
+        slot = &own;
+    } else if (expr.resolution == NameRes::LetRef) {
+        slot = &setOf(*model_->lets()[expr.letIndex].expr);
+    } else {
+        slot = &baseSet(expr.name);
+    }
+    return *slot;
+}
+
+const std::vector<bool> &
+RelationAnalysis::baseSet(const std::string &name)
+{
+    auto it = baseSets_.find(name);
+    if (it != baseSets_.end())
         return it->second;
-    return setCache_.emplace(&expr, computeSet(expr)).first->second;
+    const UnrolledProgram &up = exec_.unrolled();
+    int n = numEvents();
+    std::vector<bool> out(n, false);
+    for (int i = 0; i < n; ++i)
+        out[i] = prog::eventHasTag(up.events[i], name);
+    return baseSets_.emplace(name, std::move(out)).first->second;
 }
 
 std::vector<bool>
 RelationAnalysis::computeSet(const Expr &expr)
 {
-    GPUMC_ASSERT(expr.type == cat::ExprType::Set);
-    const UnrolledProgram &up = exec_.unrolled();
     int n = numEvents();
     switch (expr.kind) {
-      case ExprKind::Name: {
-        if (expr.resolution == NameRes::LetRef)
-            return setOf(*model_->lets()[expr.letIndex].expr);
-        std::vector<bool> out(n, false);
-        for (int i = 0; i < n; ++i)
-            out[i] = prog::eventHasTag(up.events[i], expr.name);
-        return out;
-      }
       case ExprKind::Union: {
-        std::vector<bool> a = setOf(expr.lhs.operator*()),
-                          c = setOf(*expr.rhs);
+        std::vector<bool> a = setOf(*expr.lhs);
+        const std::vector<bool> &c = setOf(*expr.rhs);
         for (int i = 0; i < n; ++i)
             a[i] = a[i] || c[i];
         return a;
       }
       case ExprKind::Inter: {
-        std::vector<bool> a = setOf(*expr.lhs), c = setOf(*expr.rhs);
+        std::vector<bool> a = setOf(*expr.lhs);
+        const std::vector<bool> &c = setOf(*expr.rhs);
         for (int i = 0; i < n; ++i)
             a[i] = a[i] && c[i];
         return a;
       }
       case ExprKind::Diff: {
-        std::vector<bool> a = setOf(*expr.lhs), c = setOf(*expr.rhs);
+        std::vector<bool> a = setOf(*expr.lhs);
+        const std::vector<bool> &c = setOf(*expr.rhs);
         for (int i = 0; i < n; ++i)
             a[i] = a[i] && !c[i];
         return a;
@@ -331,24 +341,28 @@ RelationAnalysis::computeSet(const Expr &expr)
 const Bounds &
 RelationAnalysis::boundsOf(const Expr &expr)
 {
-    auto it = exprCache_.find(&expr);
-    if (it != exprCache_.end())
-        return it->second;
-    Bounds bounds = computeDerived(expr);
-    return exprCache_.emplace(&expr, std::move(bounds)).first->second;
+    // bounds_ is never resized, so the slot survives the recursion.
+    const Bounds *&slot = bounds_[model_->idOf(expr)];
+    if (slot)
+        return *slot;
+    GPUMC_ASSERT(expr.type == cat::ExprType::Rel);
+    if (expr.kind != ExprKind::Name) {
+        Bounds &own = derived_[expr.id];
+        own = computeDerived(expr);
+        slot = &own;
+    } else if (expr.resolution == NameRes::LetRef) {
+        slot = &boundsOf(*model_->lets()[expr.letIndex].expr);
+    } else {
+        slot = &baseBounds(expr.name);
+    }
+    return *slot;
 }
 
 Bounds
 RelationAnalysis::computeDerived(const Expr &expr)
 {
-    GPUMC_ASSERT(expr.type == cat::ExprType::Rel);
     int n = numEvents();
     switch (expr.kind) {
-      case ExprKind::Name: {
-        if (expr.resolution == NameRes::LetRef)
-            return boundsOf(*model_->lets()[expr.letIndex].expr);
-        return baseBounds(expr.name);
-      }
       case ExprKind::Union: {
         const Bounds &a = boundsOf(*expr.lhs);
         const Bounds &c = boundsOf(*expr.rhs);
@@ -429,6 +443,8 @@ RelationAnalysis::computeDerived(const Expr &expr)
         }
         return out;
       }
+      case ExprKind::Name:
+        break; // boundsOf() resolves names
     }
     GPUMC_PANIC("unhandled expression kind");
 }

@@ -8,6 +8,13 @@
  *  - ub(r): every pair that can be in r in *some* behaviour.
  *  - lb(r): pairs that are in r in every behaviour *where both events
  *    execute*; the encoder replaces such pairs by exec(a) & exec(b).
+ *
+ * Bounds and set masks are memoized in vectors indexed by `.cat` node
+ * id (cat::Expr::id), sized once per analysis, so every reference
+ * handed out stays valid for the analysis' lifetime. A name shares
+ * what it names: a let reference returns its let's bounds or mask, a
+ * base relation `baseBounds(name)`, and every occurrence of a base set
+ * one mask computed once per name.
  */
 
 #ifndef GPUMC_ANALYSIS_RELATION_ANALYSIS_HPP
@@ -54,18 +61,23 @@ class RelationAnalysis {
     Bounds computeBase(const std::string &name);
     Bounds computeDerived(const cat::Expr &expr);
     std::vector<bool> computeSet(const cat::Expr &expr);
+    const std::vector<bool> &baseSet(const std::string &name);
 
     int numEvents() const { return exec_.unrolled().numEvents(); }
-    std::vector<int> allEventIds() const;
 
     const ExecAnalysis &exec_;
     const cat::CatModel *model_;
     Dependencies deps_;
 
     std::map<std::string, Bounds> baseCache_;
-    std::map<const cat::Expr *, Bounds> exprCache_;
-    std::map<const cat::Expr *, std::vector<bool>> setCache_;
-    std::map<int, const cat::Expr *> letExpr_; // letIndex -> expr
+    std::map<std::string, std::vector<bool>> baseSets_;
+    /** By node id: the node's bounds once known. A Name points at what
+     *  it names; any other node at its own entry of derived_. */
+    std::vector<const Bounds *> bounds_;
+    std::vector<Bounds> derived_;
+    /** By node id, likewise for set masks. */
+    std::vector<const std::vector<bool> *> sets_;
+    std::vector<std::vector<bool>> derivedSets_;
 };
 
 } // namespace gpumc::analysis

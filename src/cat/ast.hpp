@@ -49,6 +49,13 @@ struct Expr {
     NameRes resolution = NameRes::Unresolved;
     int letIndex = -1; // valid when resolution == LetRef
 
+    /**
+     * Dense node number, 0..CatModel::numNodes()-1, set by CatModel for
+     * every node of every let and axiom (set nodes included). Per-model
+     * memos are vectors indexed by it.
+     */
+    int id = -1;
+
     Expr(ExprKind k, SourceLoc l) : kind(k), loc(l) {}
 };
 

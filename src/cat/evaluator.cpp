@@ -43,7 +43,7 @@ take(const T &value, T &scratch)
 RelationEvaluator::RelationEvaluator(const CatModel &model,
                                      const ExecutionView &exec)
     : model_(model), exec_(exec), allEvents_(exec.numEvents()),
-      letRel_(model.lets().size())
+      letRel_(model.lets().size()), sets_(model.numNodes())
 {
     std::iota(allEvents_.begin(), allEvents_.end(), 0);
     // A let only names earlier lets, so one pass in order suffices.
@@ -91,9 +91,9 @@ RelationEvaluator::setRef(const Expr &e)
     GPUMC_ASSERT(e.type == ExprType::Set);
     if (e.kind == ExprKind::Name && e.resolution == NameRes::LetRef)
         return setRef(*model_.lets()[e.letIndex].expr);
-    auto it = sets_.find(&e);
-    if (it != sets_.end())
-        return it->second;
+    std::optional<std::vector<bool>> &slot = sets_[model_.idOf(e)];
+    if (slot)
+        return *slot;
     int n = exec_.numEvents();
     std::vector<bool> members(n, false);
     switch (e.kind) {
@@ -119,7 +119,8 @@ RelationEvaluator::setRef(const Expr &e)
       default:
         GPUMC_PANIC("expression is not a set");
     }
-    return sets_.emplace(&e, std::move(members)).first->second;
+    slot = std::move(members);
+    return *slot;
 }
 
 PairSet

@@ -12,7 +12,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cat/model.hpp"
@@ -104,7 +103,8 @@ class RelationEvaluator {
     /** Base relation -> the lets that read it, directly or not. */
     std::map<std::string, std::vector<int>> readers_;
     std::vector<std::optional<PairSet>> letRel_;
-    std::unordered_map<const Expr *, std::vector<bool>> sets_;
+    /** Set masks by node id. */
+    std::vector<std::optional<std::vector<bool>>> sets_;
 };
 
 } // namespace gpumc::cat

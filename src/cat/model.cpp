@@ -58,7 +58,21 @@ CatModel::CatModel(ParsedModel parsed, const Vocabulary &vocab)
     : parsed_(std::move(parsed)), vocab_(&vocab)
 {
     resolveAndCheck();
+    for (LetBinding &let : parsed_.lets)
+        numberNodes(*let.expr);
+    for (Axiom &ax : parsed_.axioms)
+        numberNodes(*ax.expr);
     computeFingerprint();
+}
+
+void
+CatModel::numberNodes(Expr &e)
+{
+    e.id = numNodes_++;
+    if (e.lhs)
+        numberNodes(*e.lhs);
+    if (e.rhs)
+        numberNodes(*e.rhs);
 }
 
 void

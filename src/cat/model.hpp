@@ -56,6 +56,17 @@ class CatModel {
     const std::vector<Axiom> &axioms() const { return parsed_.axioms; }
     const Vocabulary &vocabulary() const { return *vocab_; }
 
+    /** Number of expression nodes; Expr::id runs over 0..numNodes()-1. */
+    int numNodes() const { return numNodes_; }
+
+    /** @p e's id, asserted to be in range. */
+    int idOf(const Expr &e) const
+    {
+        GPUMC_ASSERT(e.id >= 0 && e.id < numNodes_,
+                     "expression node without an id of this model");
+        return e.id;
+    }
+
     /** True if the model contains at least one `flag ~empty` axiom. */
     bool hasFlaggedAxioms() const;
 
@@ -67,11 +78,13 @@ class CatModel {
 
     void resolveAndCheck();
     void resolveExpr(Expr &e, int numVisibleLets);
+    void numberNodes(Expr &e);
     void computeFingerprint();
 
     ParsedModel parsed_;
     const Vocabulary *vocab_;
     ModelFingerprint fingerprint_;
+    int numNodes_ = 0;
 };
 
 } // namespace gpumc::cat

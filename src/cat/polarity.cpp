@@ -5,7 +5,7 @@ namespace gpumc::cat {
 void
 PolarityWalk::walk(const Expr &root, Polarity at)
 {
-    Polarity &seen = nodes_[&root];
+    Polarity &seen = nodes_[model_->idOf(root)];
     Polarity joined = joinPolarity(seen, at);
     if (joined == seen)
         return;
@@ -44,8 +44,7 @@ PolarityWalk::walk(const Expr &root, Polarity at)
 Polarity
 PolarityWalk::of(const Expr &node) const
 {
-    auto it = nodes_.find(&node);
-    return it == nodes_.end() ? Polarity::None : it->second;
+    return nodes_[model_->idOf(node)];
 }
 
 Polarity

@@ -22,7 +22,7 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "cat/model.hpp"
 
@@ -50,7 +50,10 @@ flipPolarity(Polarity p)
 
 class PolarityWalk {
   public:
-    explicit PolarityWalk(const CatModel &model) : model_(&model) {}
+    explicit PolarityWalk(const CatModel &model)
+        : model_(&model), nodes_(model.numNodes(), Polarity::None)
+    {
+    }
 
     /** Reach every node below @p root, @p root itself at @p at. */
     void walk(const Expr &root, Polarity at);
@@ -63,7 +66,8 @@ class PolarityWalk {
 
   private:
     const CatModel *model_;
-    std::unordered_map<const Expr *, Polarity> nodes_;
+    /** By node id. */
+    std::vector<Polarity> nodes_;
     std::map<std::string, Polarity> bases_;
 };
 

@@ -1,7 +1,6 @@
 #include "encoder/relation_encoder.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 
 #include "support/trace.hpp"
@@ -126,10 +125,11 @@ longestPathBound(const PairSet &edges)
  */
 void
 collectBaseRels(const Expr &expr, const cat::CatModel &model,
-                std::set<const Expr *> &seen, std::set<std::string> &out)
+                std::vector<bool> &seen, std::set<std::string> &out)
 {
-    if (!seen.insert(&expr).second)
+    if (seen[model.idOf(expr)])
         return;
+    seen[expr.id] = true;
     if (expr.kind == ExprKind::Name) {
         if (expr.resolution == NameRes::BaseRel)
             out.insert(expr.name);
@@ -148,8 +148,13 @@ collectBaseRels(const Expr &expr, const cat::CatModel &model,
 
 RelationEncoder::RelationEncoder(analysis::RelationAnalysis &ra,
                                  ProgramEncoder &pe)
-    : ra_(ra), pe_(pe), c_(pe.circuit()), polarity_(ra.model())
+    : ra_(ra), pe_(pe), c_(pe.circuit()),
+      closureInfo_(ra.model().numNodes()),
+      succCache_(ra.model().numNodes()), polarity_(ra.model())
 {
+    GPUMC_ASSERT(ra.model().numNodes() <= kMaxNodes &&
+                     pe.unrolled().numEvents() <= kMaxEvents,
+                 "too many .cat nodes or events for the memo keys");
     // Consistency axioms forbid relation membership (the solver wants
     // them false); flagged axioms are asserted non-empty (true).
     for (const cat::Axiom &axiom : ra_.model().axioms()) {
@@ -163,7 +168,7 @@ RelationEncoder::RelationEncoder(analysis::RelationAnalysis &ra,
     // `rel.<name>.{ub,lb}Pairs` for all of them — even those whose
     // encoding is later short-circuited away.
     if (trace::Tracer::instance().enabled()) {
-        std::set<const Expr *> seen;
+        std::vector<bool> seen(ra_.model().numNodes(), false);
         std::set<std::string> baseRels;
         for (const cat::LetBinding &let : ra_.model().lets())
             collectBaseRels(*let.expr, ra_.model(), seen, baseRels);
@@ -174,16 +179,30 @@ RelationEncoder::RelationEncoder(analysis::RelationAnalysis &ra,
     }
 }
 
-const std::unordered_map<int, std::vector<int>> &
+const RelationEncoder::Successors &
 RelationEncoder::successors(const Expr &expr)
 {
-    auto it = succCache_.find(&expr);
-    if (it != succCache_.end())
-        return it->second;
-    std::unordered_map<int, std::vector<int>> succ;
-    for (auto [a, b] : ra_.boundsOf(expr).ub.pairs())
-        succ[a].push_back(b);
-    return succCache_.emplace(&expr, std::move(succ)).first->second;
+    std::optional<Successors> &slot = succCache_[ra_.model().idOf(expr)];
+    if (slot)
+        return *slot;
+    const PairSet &ub = ra_.boundsOf(expr).ub;
+    int n = pe_.unrolled().numEvents();
+    Successors &rows = slot.emplace();
+    // Count each source's targets at start[a + 1], sum the counts up
+    // into row starts, then fill every row in pair order; filling
+    // advances start[a] to row a's end, so shift the starts back.
+    rows.start.assign(n + 1, 0);
+    for (auto [a, b] : ub.pairs())
+        rows.start[a + 1]++;
+    for (int i = 0; i < n; ++i)
+        rows.start[i + 1] += rows.start[i];
+    rows.targets.resize(ub.size());
+    for (auto [a, b] : ub.pairs())
+        rows.targets[rows.start[a]++] = b;
+    for (int i = n; i > 0; --i)
+        rows.start[i] = rows.start[i - 1];
+    rows.start[0] = 0;
+    return rows;
 }
 
 Lit
@@ -193,10 +212,9 @@ RelationEncoder::encode(const Expr &expr, int a, int b)
     if (!bounds.ub.contains(a, b))
         return c_.falseLit();
 
-    PairKey cacheKey{&expr, PairSet::key(a, b)};
-    auto it = cache_.find(cacheKey);
-    if (it != cache_.end())
-        return it->second;
+    uint64_t cacheKey = pairKey(expr.id, a, b);
+    if (const Lit *cached = cache_.find(cacheKey))
+        return *cached;
 
     // Per-.cat-relation encoding-size attribution (tracing only): the
     // outermost *named* relation on the recursion stack is charged
@@ -304,12 +322,11 @@ Lit
 RelationEncoder::encodeSeq(const Expr &expr, int a, int b)
 {
     const PairSet &rhsUb = ra_.boundsOf(*expr.rhs).ub;
-    const auto &succ = successors(*expr.lhs);
-    auto it = succ.find(a);
-    if (it == succ.end())
+    std::span<const int> succ = successors(*expr.lhs).of(a);
+    if (succ.empty())
         return c_.falseLit();
     std::vector<Lit> cases;
-    for (int k : it->second) {
+    for (int k : succ) {
         if (!rhsUb.contains(k, b))
             continue;
         cases.push_back(c_.mkAnd(encode(*expr.lhs, a, k),
@@ -321,20 +338,17 @@ RelationEncoder::encodeSeq(const Expr &expr, int a, int b)
 Lit
 RelationEncoder::encodeClosure(const Expr &expr, int a, int b)
 {
-    auto infoIt = closureInfo_.find(&expr);
-    if (infoIt == closureInfo_.end()) {
-        ClosureInfo info;
+    std::optional<ClosureInfo> &info = closureInfo_[ra_.model().idOf(expr)];
+    if (!info) {
         const PairSet &childUb = ra_.boundsOf(*expr.lhs).ub;
-        info.closUb = childUb.transitiveClosure();
-        for (auto [x, y] : childUb.pairs())
-            info.childSucc[x].push_back(y);
+        info.emplace();
+        info->closUb = childUb.transitiveClosure();
         int longestPath = longestPathBound(childUb);
-        info.idxBits = 1;
-        while ((1 << info.idxBits) < longestPath + 1)
-            info.idxBits++;
-        infoIt = closureInfo_.emplace(&expr, std::move(info)).first;
+        info->idxBits = 1;
+        while ((1 << info->idxBits) < longestPath + 1)
+            info->idxBits++;
     }
-    return closureLit(infoIt->second, expr, a, b);
+    return closureLit(*info, expr, a, b).lit;
 }
 
 /**
@@ -348,16 +362,15 @@ RelationEncoder::encodeClosure(const Expr &expr, int a, int b)
  * Only pairs that are actually queried (and the columns feeding them)
  * are materialized.
  */
-Lit
-RelationEncoder::closureLit(ClosureInfo &info, const Expr &expr, int a,
-                            int b)
+RelationEncoder::ClosureVar
+RelationEncoder::closureLit(const ClosureInfo &info, const Expr &expr,
+                            int a, int b)
 {
     if (!info.closUb.contains(a, b))
-        return c_.falseLit();
-    PairKey key{&expr, PairSet::key(a, b)};
-    auto it = closurePairs_.find(key);
-    if (it != closurePairs_.end())
-        return it->second;
+        return {c_.falseLit(), -1};
+    uint64_t key = pairKey(expr.id, a, b);
+    if (const ClosureVar *cached = closurePairs_.find(key))
+        return *cached;
 
     // Where the solver only wants the closure false it already prefers
     // the least fix-point, so the cheap completeness direction is
@@ -365,46 +378,42 @@ RelationEncoder::closureLit(ClosureInfo &info, const Expr &expr, int a,
     bool sound = needsSoundness(expr);
 
     // Insert the variable before recursing: cycles hit the memo.
-    Lit v = c_.freshVar();
-    closurePairs_.emplace(key, v);
+    ClosureVar own{c_.freshVar(), -1};
     if (sound) {
-        closureIdx_.emplace(key, pe_.bv().fresh(info.idxBits));
+        own.idx = static_cast<int32_t>(closureIdx_.size());
+        closureIdx_.push_back(pe_.bv().fresh(info.idxBits));
     }
+    closurePairs_.emplace(key, own);
 
     std::vector<Lit> justifications;
-    auto succIt = info.childSucc.find(a);
-    if (succIt != info.childSucc.end()) {
-        for (int k : succIt->second) {
-            Lit step = encode(*expr.lhs, a, k);
-            if (c_.isFalse(step))
-                continue;
-            if (k == b) {
-                // Direct child edge: justifies tc unconditionally.
-                c_.assertImplies(step, v);
-                justifications.push_back(step);
-                continue;
-            }
-            if (!info.closUb.contains(k, b))
-                continue;
-            Lit rest = closureLit(info, expr, k, b);
-            if (c_.isFalse(rest))
-                continue;
-            Lit both = c_.mkAnd(step, rest);
-            // Completeness: any step + suffix implies the closure.
-            c_.assertImplies(both, v);
-            if (sound) {
-                const smt::BitVec &restIdx =
-                    closureIdx_.at(PairKey{&expr, PairSet::key(k, b)});
-                const smt::BitVec &ownIdx = closureIdx_.at(key);
-                justifications.push_back(
-                    c_.mkAnd(both, pe_.bv().ult(restIdx, ownIdx)));
-            }
+    for (int k : successors(*expr.lhs).of(a)) {
+        Lit step = encode(*expr.lhs, a, k);
+        if (c_.isFalse(step))
+            continue;
+        if (k == b) {
+            // Direct child edge: justifies tc unconditionally.
+            c_.assertImplies(step, own.lit);
+            justifications.push_back(step);
+            continue;
+        }
+        if (!info.closUb.contains(k, b))
+            continue;
+        ClosureVar rest = closureLit(info, expr, k, b);
+        if (c_.isFalse(rest.lit))
+            continue;
+        Lit both = c_.mkAnd(step, rest.lit);
+        // Completeness: any step + suffix implies the closure.
+        c_.assertImplies(both, own.lit);
+        if (sound) {
+            Lit smaller = pe_.bv().ult(closureIdx_[rest.idx],
+                                       closureIdx_[own.idx]);
+            justifications.push_back(c_.mkAnd(both, smaller));
         }
     }
     // Soundness: the pair holds only with a well-founded justification.
     if (sound)
-        c_.assertImplies(v, c_.mkOr(justifications));
-    return v;
+        c_.assertImplies(own.lit, c_.mkOr(justifications));
+    return own;
 }
 
 void

@@ -17,15 +17,25 @@
  * flag) also gets soundness: each pair carries a well-foundedness
  * index and holds only through a step whose suffix has a smaller
  * index, so no cyclic justification can occur.
+ *
+ * Memos are keyed by `.cat` node id (cat::Expr::id): the literal of
+ * (node, a, b) and a closure's pair variables in one FlatMap each,
+ * per-node closure data and successor lists in vectors indexed by id.
+ * A successor list is a compressed row per source, in the upper
+ * bound's pair order, because gates are created in that order. Where
+ * the analysis shares bounds (a name and what it names), the encoder
+ * still keys each node on its own.
  */
 
 #ifndef GPUMC_ENCODER_RELATION_ENCODER_HPP
 #define GPUMC_ENCODER_RELATION_ENCODER_HPP
 
-#include <unordered_map>
+#include <optional>
+#include <span>
 
 #include "cat/polarity.hpp"
 #include "encoder/program_encoder.hpp"
+#include "support/flat_map.hpp"
 
 namespace gpumc::encoder {
 
@@ -38,6 +48,20 @@ struct FlagViolation {
 
 class RelationEncoder {
   public:
+    /** Limits of the node ids and event ids a memo key can hold. */
+    static constexpr int kMaxNodes = 1 << 19;
+    static constexpr int kMaxEvents = 1 << 22;
+
+    /**
+     * (node id, a, b) packed into one memo key, 19 + 22 + 22 bits: the
+     * top bit stays clear, so no key is FlatMap's empty key.
+     */
+    static uint64_t pairKey(int node, int a, int b)
+    {
+        return static_cast<uint64_t>(node) << 44 |
+               static_cast<uint64_t>(a) << 22 | static_cast<uint64_t>(b);
+    }
+
     RelationEncoder(analysis::RelationAnalysis &ra, ProgramEncoder &pe);
 
     /** Literal for "pair (a,b) is in relation @p expr". */
@@ -52,16 +76,38 @@ class RelationEncoder {
   private:
     /** Per-closure-node static data, built on first use. */
     struct ClosureInfo {
-        cat::PairSet closUb;                      // tc of the child ub
-        std::unordered_map<int, std::vector<int>> childSucc;
+        cat::PairSet closUb; // tc of the child ub
         int idxBits = 4;
+    };
+
+    /** A closure pair's variable, and its well-foundedness index in
+     *  closureIdx_ (-1 where the closure needs no soundness). */
+    struct ClosureVar {
+        smt::Lit lit;
+        int32_t idx;
+    };
+
+    /**
+     * An upper bound's successor lists as compressed rows: source a's
+     * targets, in the bound's pair order, are targets[start[a]] up to
+     * targets[start[a + 1]].
+     */
+    struct Successors {
+        std::vector<int> start;
+        std::vector<int> targets;
+
+        std::span<const int> of(int a) const
+        {
+            return {targets.data() + start[a],
+                    targets.data() + start[a + 1]};
+        }
     };
 
     smt::Lit encodeBase(const std::string &name, int a, int b);
     smt::Lit encodeSeq(const cat::Expr &expr, int a, int b);
     smt::Lit encodeClosure(const cat::Expr &expr, int a, int b);
-    smt::Lit closureLit(ClosureInfo &info, const cat::Expr &expr, int a,
-                        int b);
+    ClosureVar closureLit(const ClosureInfo &info, const cat::Expr &expr,
+                          int a, int b);
     /**
      * `acyclic expr`: a self-loop of the upper bound is asserted false,
      * and the other pairs whose literal is not constant false go to
@@ -89,38 +135,21 @@ class RelationEncoder {
                p == cat::Polarity::Pos || p == cat::Polarity::Both;
     }
 
-    /** Successor adjacency of an upper bound, cached per expression. */
-    const std::unordered_map<int, std::vector<int>> &
-    successors(const cat::Expr &expr);
-
-    struct PairKey {
-        const void *node;
-        uint64_t pair;
-        bool operator==(const PairKey &o) const
-        {
-            return node == o.node && pair == o.pair;
-        }
-    };
-    struct PairKeyHash {
-        size_t operator()(const PairKey &k) const
-        {
-            return std::hash<const void *>()(k.node) ^
-                   std::hash<uint64_t>()(k.pair * 0x9e3779b97f4a7c15ULL);
-        }
-    };
+    /** Successor lists of @p expr's upper bound, built once. */
+    const Successors &successors(const cat::Expr &expr);
 
     analysis::RelationAnalysis &ra_;
     ProgramEncoder &pe_;
     smt::Circuit &c_;
 
-    std::unordered_map<PairKey, smt::Lit, PairKeyHash> cache_;
-    std::unordered_map<const cat::Expr *, ClosureInfo> closureInfo_;
-    // Closure pair variables and their justification-index vectors.
-    std::unordered_map<PairKey, smt::Lit, PairKeyHash> closurePairs_;
-    std::unordered_map<PairKey, smt::BitVec, PairKeyHash> closureIdx_;
-    std::unordered_map<const cat::Expr *,
-                       std::unordered_map<int, std::vector<int>>>
-        succCache_;
+    FlatMap<smt::Lit> cache_; // by pairKey
+    // Closure pair variables (by pairKey of the closure node) and
+    // their justification-index vectors.
+    FlatMap<ClosureVar> closurePairs_;
+    std::vector<smt::BitVec> closureIdx_;
+    // By node id; never resized, so references survive recursion.
+    std::vector<std::optional<ClosureInfo>> closureInfo_;
+    std::vector<std::optional<Successors>> succCache_;
     cat::PolarityWalk polarity_;
 
     // Tracing-only: the outermost named relation currently being

@@ -27,10 +27,9 @@ Circuit::mkAnd(Lit a, Lit b)
         return falseLit();
     if (a > b)
         std::swap(a, b);
-    PairKey key{a, b};
-    auto it = andCache_.find(key);
-    if (it != andCache_.end())
-        return it->second;
+    uint64_t key = gateKey(a, b);
+    if (const Lit *cached = andCache_.find(key))
+        return *cached;
     Lit out = backend_.newVar();
     backend_.addClause({-out, a});
     backend_.addClause({-out, b});
@@ -126,11 +125,10 @@ Circuit::mkXor(Lit a, Lit b)
     }
     if (a > b)
         std::swap(a, b);
-    PairKey key{a, b};
-    auto it = xorCache_.find(key);
+    uint64_t key = gateKey(a, b);
     Lit out;
-    if (it != xorCache_.end()) {
-        out = it->second;
+    if (const Lit *cached = xorCache_.find(key)) {
+        out = *cached;
     } else {
         out = backend_.newVar();
         backend_.addClause({-out, a, b});

@@ -4,17 +4,19 @@
  *
  * All gates are structurally hashed, so re-building the same sub-formula
  * returns the same literal instead of duplicating clauses. Constant
- * literals are folded eagerly.
+ * literals are folded eagerly. The two-input AND and XOR gates are
+ * cached by their input pair in a FlatMap each (an open-addressing
+ * table that nothing iterates, so it cannot reorder the CNF).
  */
 
 #ifndef GPUMC_SMT_CIRCUIT_HPP
 #define GPUMC_SMT_CIRCUIT_HPP
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/backend.hpp"
+#include "support/flat_map.hpp"
 
 namespace gpumc::smt {
 
@@ -80,24 +82,20 @@ class Circuit {
     }
 
   private:
-    struct PairKey {
-        int64_t a, b;
-        bool operator==(const PairKey &o) const
-        {
-            return a == o.a && b == o.b;
-        }
-    };
-    struct PairKeyHash {
-        size_t operator()(const PairKey &k) const
-        {
-            return std::hash<int64_t>()(k.a * 2654435769LL ^ k.b);
-        }
-    };
+    /**
+     * A gate's input pair as one cache key. The caches only see pairs
+     * with a != b, so no key is FlatMap's empty key (a = b = -1).
+     */
+    static uint64_t gateKey(Lit a, Lit b)
+    {
+        return static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32 |
+               static_cast<uint32_t>(b);
+    }
 
     Backend &backend_;
     Lit trueLit_;
-    std::unordered_map<PairKey, Lit, PairKeyHash> andCache_;
-    std::unordered_map<PairKey, Lit, PairKeyHash> xorCache_;
+    FlatMap<Lit> andCache_;
+    FlatMap<Lit> xorCache_;
 };
 
 } // namespace gpumc::smt

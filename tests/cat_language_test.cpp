@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cat/evaluator.hpp"
 #include "cat/lexer.hpp"
 #include "cat/model.hpp"
@@ -136,6 +138,52 @@ TEST(CatModelChecks, ShippedModelsParse)
     EXPECT_FALSE(CatModel::fromFile(std::string(GPUMC_CAT_DIR) +
                                     "/ptx-v6.0.cat")
                      .hasFlaggedAxioms());
+}
+
+/** Every node's id under @p e in pre-order, set operands included;
+ *  counts the set-typed nodes among them into @p setNodes. */
+void
+collectIds(const Expr &e, std::vector<int> &ids, int &setNodes)
+{
+    ids.push_back(e.id);
+    setNodes += e.type == ExprType::Set;
+    if (e.lhs)
+        collectIds(*e.lhs, ids, setNodes);
+    if (e.rhs)
+        collectIds(*e.rhs, ids, setNodes);
+}
+
+std::vector<int>
+modelIds(const CatModel &model, int &setNodes)
+{
+    std::vector<int> ids;
+    setNodes = 0;
+    for (const LetBinding &let : model.lets())
+        collectIds(*let.expr, ids, setNodes);
+    for (const Axiom &ax : model.axioms())
+        collectIds(*ax.expr, ids, setNodes);
+    return ids;
+}
+
+TEST(CatModelIds, DenseUniqueAndStableAcrossLoads)
+{
+    for (const char *file :
+         {"/ptx-v6.0.cat", "/ptx-v7.5.cat", "/vulkan.cat"}) {
+        const std::string path = std::string(GPUMC_CAT_DIR) + file;
+        CatModel model = CatModel::fromFile(path);
+        int setNodes = 0;
+        std::vector<int> ids = modelIds(model, setNodes);
+        EXPECT_GT(setNodes, 0) << file;
+        // Each of 0..numNodes()-1 is used exactly once.
+        ASSERT_EQ(static_cast<int>(ids.size()), model.numNodes()) << file;
+        std::vector<int> sorted = ids;
+        std::sort(sorted.begin(), sorted.end());
+        for (int i = 0; i < model.numNodes(); ++i)
+            ASSERT_EQ(sorted[i], i) << file;
+        // A second load of the same file numbers the same nodes alike.
+        EXPECT_EQ(modelIds(CatModel::fromFile(path), setNodes), ids)
+            << file;
+    }
 }
 
 // --- occurrence polarity -----------------------------------------------

@@ -245,5 +245,54 @@ exists (true)
     EXPECT_FALSE(f.ra.baseBounds("co").ub.contains(s1, s2));
 }
 
+TEST(RelationAnalysis, NamesShareWhatTheyName)
+{
+    cat::CatModel model = cat::CatModel::fromSource(
+        "let S = W | R\n"
+        "let hb = (po | rf) ; [W]\n"
+        "acyclic hb as order\n"
+        "irreflexive [W] ; rf ; [S] as lost");
+    Fixture f(R"(
+PTX
+P0@cta 0,gpu 0 | P1@cta 0,gpu 0 ;
+st.weak x, 1   | ld.weak r0, x  ;
+exists (true)
+)",
+              model);
+    const cat::Expr &setLet = *model.lets()[0].expr;
+    const cat::Expr &hbLet = *model.lets()[1].expr;
+    const cat::Expr &order = *model.axioms()[0].expr;
+    const cat::Expr &lost = *model.axioms()[1].expr;
+
+    // A let reference returns its let's bounds, not a copy.
+    ASSERT_EQ(order.resolution, cat::NameRes::LetRef);
+    EXPECT_EQ(&f.ra.boundsOf(order), &f.ra.boundsOf(hbLet));
+
+    // A base-relation name returns the base relation's bounds.
+    const cat::Expr &po = *hbLet.lhs->lhs;
+    ASSERT_EQ(po.resolution, cat::NameRes::BaseRel);
+    EXPECT_EQ(&f.ra.boundsOf(po), &f.ra.baseBounds("po"));
+    const cat::Expr &rf = *lost.lhs->rhs;
+    ASSERT_EQ(rf.resolution, cat::NameRes::BaseRel);
+    EXPECT_EQ(&f.ra.boundsOf(rf), &f.ra.baseBounds("rf"));
+
+    // Two occurrences of one base set name share one mask, and a set
+    // let reference shares its let's.
+    const cat::Expr &w1 = *hbLet.rhs->lhs;
+    const cat::Expr &w2 = *lost.lhs->lhs->lhs;
+    ASSERT_EQ(w1.name, "W");
+    ASSERT_EQ(w2.name, "W");
+    ASSERT_NE(w1.id, w2.id);
+    EXPECT_EQ(&f.ra.setOf(w1), &f.ra.setOf(w2));
+    const cat::Expr &setRef = *lost.rhs->lhs;
+    ASSERT_EQ(setRef.resolution, cat::NameRes::LetRef);
+    EXPECT_EQ(&f.ra.setOf(setRef), &f.ra.setOf(setLet));
+    int st = f.eventByDisplay("st x");
+    int ld = f.eventByDisplay("ld r0,x");
+    EXPECT_TRUE(f.ra.setOf(w1)[st]);
+    EXPECT_FALSE(f.ra.setOf(w1)[ld]);
+    EXPECT_TRUE(f.ra.setOf(setRef)[ld]);
+}
+
 } // namespace
 } // namespace gpumc::test

@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for the support library: string helpers, stopwatch/stats,
- * diagnostics, thread pool / parallel-for, the command-line parser.
+ * diagnostics, thread pool / parallel-for, the command-line parser and
+ * the flat hash map of the encoder's memo tables.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <gtest/gtest.h>
 #include <numeric>
+#include <random>
 #include <thread>
+#include <unordered_map>
 
+#include "encoder/relation_encoder.hpp"
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
+#include "support/flat_map.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
 #include "support/thread_budget.hpp"
@@ -311,6 +317,97 @@ TEST(Stats, StopwatchAdvances)
     EXPECT_GE(watch.elapsedMs(), 0.0);
     watch.restart();
     EXPECT_LT(watch.elapsedMs(), 1000.0);
+}
+
+/**
+ * Encoder memo keys at the ends of the asserted id ranges: none is the
+ * empty key, and all are distinct.
+ */
+std::vector<uint64_t>
+keysAtIdLimits()
+{
+    using encoder::RelationEncoder;
+    const int node[] = {0, 1, RelationEncoder::kMaxNodes - 1};
+    const int event[] = {0, 1, RelationEncoder::kMaxEvents - 1};
+    std::vector<uint64_t> keys;
+    for (int n : node) {
+        for (int a : event) {
+            for (int b : event)
+                keys.push_back(RelationEncoder::pairKey(n, a, b));
+        }
+    }
+    return keys;
+}
+
+TEST(FlatMap, KeysAtTheIdLimitsAreDistinctAndStorable)
+{
+    std::vector<uint64_t> keys = keysAtIdLimits();
+    std::vector<uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    FlatMap<int32_t> map;
+    for (size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_NE(keys[i], FlatMap<int32_t>::kEmptyKey);
+        EXPECT_EQ(keys[i] >> 63, 0u);
+        map.emplace(keys[i], static_cast<int32_t>(i));
+    }
+    ASSERT_EQ(map.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_NE(map.find(keys[i]), nullptr);
+        EXPECT_EQ(*map.find(keys[i]), static_cast<int32_t>(i));
+    }
+}
+
+TEST(FlatMap, MatchesUnorderedMapThroughGrowths)
+{
+    // Keys from a narrow range (so some repeat), from the encoder's
+    // packing over small ids, and at the id limits; every emplace keeps
+    // the first value, like std::unordered_map::emplace.
+    std::mt19937_64 rng(20261020);
+    std::vector<uint64_t> limits = keysAtIdLimits();
+    auto randomKey = [&]() -> uint64_t {
+        switch (rng() % 4) {
+          case 0:
+            return rng() % 5000;
+          case 1:
+            return encoder::RelationEncoder::pairKey(
+                static_cast<int>(rng() % 300), static_cast<int>(rng() % 64),
+                static_cast<int>(rng() % 64));
+          case 2:
+            return limits[rng() % limits.size()];
+          default:
+            return rng() >> 1;
+        }
+    };
+    FlatMap<int32_t> flat;
+    std::unordered_map<uint64_t, int32_t> reference;
+    for (int32_t step = 0; step < 40000; ++step) {
+        uint64_t key = randomKey();
+        auto [it, inserted] = reference.emplace(key, step);
+        const int32_t &stored = flat.emplace(key, step);
+        ASSERT_EQ(stored, it->second) << "step " << step;
+        ASSERT_EQ(flat.size(), reference.size()) << "step " << step;
+        // A lookup of a key that is probably absent, and of one that is
+        // present.
+        uint64_t probe = randomKey();
+        auto want = reference.find(probe);
+        const int32_t *got = flat.find(probe);
+        if (want == reference.end()) {
+            ASSERT_EQ(got, nullptr) << "step " << step;
+        } else {
+            ASSERT_NE(got, nullptr) << "step " << step;
+            ASSERT_EQ(*got, want->second) << "step " << step;
+        }
+        ASSERT_NE(flat.find(key), nullptr);
+        ASSERT_EQ(*flat.find(key), it->second);
+    }
+    // Several growths happened (16 slots at first, half full at most).
+    EXPECT_GT(reference.size(), 8000u);
+    for (const auto &[key, value] : reference) {
+        ASSERT_NE(flat.find(key), nullptr);
+        EXPECT_EQ(*flat.find(key), value);
+    }
+    EXPECT_EQ(FlatMap<int32_t>().find(0), nullptr);
 }
 
 } // namespace
