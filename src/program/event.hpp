@@ -8,6 +8,7 @@
 #ifndef GPUMC_PROGRAM_EVENT_HPP
 #define GPUMC_PROGRAM_EVENT_HPP
 
+#include <functional>
 #include <set>
 #include <string>
 
@@ -23,7 +24,8 @@ struct Event {
     int thread = -1;          // -1 for init writes
     bool isInit = false;
     EventKind kind = EventKind::Read;
-    std::set<std::string> tags;
+    /** Transparent, so a lookup takes a literal or a name as it is. */
+    std::set<std::string, std::less<>> tags;
 
     int physLoc = -1;         // physical location (memory events)
     int virtLoc = -1;         // virtual address (memory events)

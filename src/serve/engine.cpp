@@ -296,7 +296,10 @@ Engine::handleVerify(Request req, const Respond &respond)
             respond(errorResponse(req.id, result.detail));
             return;
         }
-        sessions_.checkin(key, std::move(session));
+        // The session the checkin displaces is torn down only after
+        // the answer has gone out.
+        std::unique_ptr<LiveSession> displaced =
+            sessions_.checkin(key, std::move(session));
 
         // Cache definitive verdicts only: unknown means the budget ran
         // out, and a later identical request may bring more budget.
@@ -310,6 +313,7 @@ Engine::handleVerify(Request req, const Respond &respond)
         respond(okVerifyResponse(req.id, result, false,
                                  requestTimer.elapsedMs(),
                                  fingerprint));
+        displaced.reset();
     };
 
     if (executor_->trySubmit(std::move(task)) ==

@@ -11,7 +11,8 @@
  *     queue, or answered `overloaded` when the queue is full,
  *  4. a worker checks a live session out of the LRU session pool (or
  *     builds one), arms the request's remaining deadline, solves,
- *     checks the session back in, fills the result cache and responds.
+ *     checks the session back in, fills the result cache, responds,
+ *     and only then destroys the session the checkin displaced.
  *
  * The per-request deadline covers queueing: it is armed at admission,
  * and the worker gives the solver only what is left of it (drawn from

@@ -19,28 +19,30 @@ SessionPool::checkout(const core::SessionKey &key)
     return session;
 }
 
-void
+std::unique_ptr<LiveSession>
 SessionPool::checkin(const core::SessionKey &key,
                      std::unique_ptr<LiveSession> session)
 {
     if (capacity_ == 0 || !session)
-        return;
+        return session;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it != index_.end()) {
         // A concurrent request raced us with the same key; keep the
         // newest session (it has the freshest learned clauses).
-        it->second->second = std::move(session);
+        std::swap(it->second->second, session);
         lru_.splice(lru_.begin(), lru_, it->second);
-        return;
+        return session;
     }
     lru_.emplace_front(key, std::move(session));
     index_[key] = lru_.begin();
     if (lru_.size() > capacity_) {
+        session = std::move(lru_.back().second);
         index_.erase(lru_.back().first);
         lru_.pop_back();
         evictions_++;
     }
+    return session;
 }
 
 SessionPool::Counters

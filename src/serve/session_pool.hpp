@@ -47,9 +47,15 @@ class SessionPool {
      * the least recently used session beyond capacity. A session that
      * threw mid-check must NOT be checked in — drop it instead, like
      * BatchVerifier discards a poisoned group session.
+     *
+     * Returns the session this one displaced (the evicted one, the
+     * one it replaces under the same key, or itself when the pool
+     * holds none), so that the caller destroys it outside the pool's
+     * lock and after it has answered; nullptr if none.
      */
-    void checkin(const core::SessionKey &key,
-                 std::unique_ptr<LiveSession> session);
+    [[nodiscard]] std::unique_ptr<LiveSession>
+    checkin(const core::SessionKey &key,
+            std::unique_ptr<LiveSession> session);
 
     struct Counters {
         int64_t hits = 0;      // checkout found a live session

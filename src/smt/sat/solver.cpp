@@ -1,6 +1,7 @@
 #include "smt/sat/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -35,13 +36,30 @@ constexpr double kRescaleLimit = 1e100;
  * the live clauses' words however long a pooled session runs.
  */
 constexpr double kArenaWasteShare = 0.2;
+/**
+ * reduceDB compacts the watch pool once its spare room (the free
+ * blocks, and the slots no list fills) takes more than this share of
+ * it. propagate() only moves watchers between lists; reduceDB is
+ * what takes them out, leaving room behind that no free list sees.
+ */
+constexpr double kWatchWasteShare = 0.5;
+/**
+ * A watch pool that runs out of room reserves this many times what it
+ * needs, so a growing session copies its pool, and touches fresh pages
+ * for it, about a third as often as std::vector's doubling would.
+ */
+constexpr size_t kWatchPoolGrowth = 4;
 
 static_assert(sizeof(Lit) == 4 && 2 * sizeof(Lit) == sizeof(double),
               "a clause header keeps its activity in two literal words");
 
 } // namespace
 
-Solver::Solver() = default;
+Solver::Solver()
+{
+    freeWatchBlocks_.fill(kNoBlock);
+}
+
 Solver::~Solver() = default;
 
 Var
@@ -55,8 +73,8 @@ Solver::newVar()
     activity_.push_back(0.0);
     seen_.push_back(0);
     heapIndex_.push_back(-1);
-    watches_.emplace_back();
-    watches_.emplace_back();
+    watchLists_.emplace_back();
+    watchLists_.emplace_back();
     heapInsert(v);
     return v;
 }
@@ -413,9 +431,9 @@ Solver::compactArena()
                      "relocating a dropped clause");
         c = static_cast<CRef>(arena_[c + 1].x);
     };
-    for (std::vector<Watcher> &ws : watches_) {
-        for (Watcher &w : ws)
-            relocate(w.clause);
+    for (const WatchList &wl : watchLists_) {
+        for (uint32_t k = 0; k < wl.size; ++k)
+            relocate(watchPool_[wl.begin + k].clause);
     }
     for (CRef &reason : reason_) {
         if (reason != kNoClause)
@@ -429,12 +447,91 @@ Solver::compactArena()
     wastedWords_ = 0;
 }
 
+size_t
+Solver::liveWatchers() const
+{
+    size_t watchers = 0;
+    for (const WatchList &wl : watchLists_)
+        watchers += wl.size;
+    return watchers;
+}
+
+void
+Solver::growWatchList(WatchList &wl)
+{
+    const uint32_t capacity =
+        wl.capacity == 0 ? kMinWatchCapacity : 2 * wl.capacity;
+    const size_t end = watchPool_.size();
+    if (wl.capacity != 0 && wl.begin + wl.capacity == end) {
+        resizeWatchPool(wl.begin + size_t{capacity});
+        wl.capacity = capacity;
+        return;
+    }
+    uint32_t &reusable = freeWatchBlocks_[std::countr_zero(capacity)];
+    uint32_t begin = reusable;
+    if (begin != kNoBlock) {
+        reusable = watchPool_[begin].clause;
+    } else {
+        begin = static_cast<uint32_t>(end);
+        resizeWatchPool(end + capacity);
+    }
+    std::copy_n(watchPool_.begin() + wl.begin, wl.size,
+                watchPool_.begin() + begin);
+    if (wl.capacity != 0) {
+        uint32_t &freed = freeWatchBlocks_[std::countr_zero(wl.capacity)];
+        watchPool_[wl.begin].clause = freed;
+        freed = wl.begin;
+    }
+    wl.begin = begin;
+    wl.capacity = capacity;
+}
+
+void
+Solver::resizeWatchPool(size_t size)
+{
+    GPUMC_ASSERT(size < kNoBlock, "watch pool overflow");
+    if (size > watchPool_.capacity())
+        watchPool_.reserve(
+            std::min<size_t>(kWatchPoolGrowth * size, kNoBlock));
+    watchPool_.resize(size);
+}
+
+void
+Solver::compactWatchPool()
+{
+    // Each list keeps its place in literal order and gets the least
+    // size class (a power of two, at least kMinWatchCapacity) that
+    // holds it.
+    std::vector<Watcher> to;
+    for (WatchList &wl : watchLists_) {
+        const uint32_t capacity =
+            wl.size == 0 ? 0
+                         : std::bit_ceil(std::max(wl.size, kMinWatchCapacity));
+        const uint32_t begin = static_cast<uint32_t>(to.size());
+        to.insert(to.end(), watchPool_.begin() + wl.begin,
+                  watchPool_.begin() + wl.begin + wl.size);
+        to.resize(begin + capacity);
+        wl.begin = begin;
+        wl.capacity = capacity;
+    }
+    watchPool_ = std::move(to);
+    freeWatchBlocks_.fill(kNoBlock);
+}
+
+void
+Solver::flushMovedWatches()
+{
+    for (const MovedWatch &moved : movedWatches_)
+        pushWatch(moved.list, moved.watcher);
+    movedWatches_.clear();
+}
+
 void
 Solver::attachClause(CRef c)
 {
     const Lit *lits = clauseLits(c);
-    watches_[(~lits[0]).index()].push_back({c, lits[1]});
-    watches_[(~lits[1]).index()].push_back({c, lits[0]});
+    pushWatch(~lits[0], {c, lits[1]});
+    pushWatch(~lits[1], {c, lits[0]});
 }
 
 void
@@ -442,11 +539,11 @@ Solver::detachClause(CRef c)
 {
     const Lit *lits = clauseLits(c);
     for (Lit w : {lits[0], lits[1]}) {
-        auto &ws = watches_[(~w).index()];
-        for (size_t i = 0; i < ws.size(); ++i) {
+        WatchList &wl = watchLists_[(~w).index()];
+        Watcher *ws = watchPool_.data() + wl.begin;
+        for (uint32_t i = 0; i < wl.size; ++i) {
             if (ws[i].clause == c) {
-                ws[i] = ws.back();
-                ws.pop_back();
+                ws[i] = ws[--wl.size];
                 break;
             }
         }
@@ -485,12 +582,14 @@ Solver::propagate()
         }
         Lit p = trail_[qhead_++];
         stats_.propagations++;
-        // Only other literals' watch lists grow below (a new watch is
-        // not false, so it is never ~p), so these pointers stay valid.
-        std::vector<Watcher> &ws = watches_[p.index()];
-        Watcher *i = ws.data();
+        // A watch moved off this list waits in movedWatches_ until the
+        // list is done (it joins another list: a new watch is not
+        // false, so it is never ~p), so the pool stays put under i/j.
+        WatchList &wl = watchLists_[p.index()];
+        Watcher *const ws = watchPool_.data() + wl.begin;
+        Watcher *i = ws;
         Watcher *j = i;
-        Watcher *const end = i + ws.size();
+        Watcher *const end = i + wl.size;
         const Lit falseLit = ~p;
         while (i != end) {
             const Watcher w = *i++;
@@ -517,7 +616,7 @@ Solver::propagate()
             for (uint32_t k = 2; k < size; ++k) {
                 if (value(lits[k]) != LBool::False) {
                     std::swap(lits[1], lits[k]);
-                    watches_[(~lits[1]).index()].push_back({c, first});
+                    movedWatches_.push_back({~lits[1], {c, first}});
                     foundWatch = true;
                     break;
                 }
@@ -531,13 +630,15 @@ Solver::propagate()
                 // Conflict: copy remaining watchers and bail out.
                 while (i != end)
                     *j++ = *i++;
-                ws.resize(static_cast<size_t>(j - ws.data()));
+                wl.size = static_cast<uint32_t>(j - ws);
+                flushMovedWatches();
                 qhead_ = trail_.size();
                 return c;
             }
             enqueue(first, c);
         }
-        ws.resize(static_cast<size_t>(j - ws.data()));
+        wl.size = static_cast<uint32_t>(j - ws);
+        flushMovedWatches();
         if (static_cast<size_t>(p.index()) < edgeHead_.size() &&
             edgeHead_[p.index()] != kNoEdge) {
             const CRef cycle = activateEdges(p);
@@ -739,6 +840,10 @@ Solver::reduceDB()
     if (static_cast<double>(wastedWords_) >
         kArenaWasteShare * static_cast<double>(arena_.size()))
         compactArena();
+    const double poolSize = static_cast<double>(watchPool_.size());
+    if (poolSize - static_cast<double>(liveWatchers()) >
+        kWatchWasteShare * poolSize)
+        compactWatchPool();
 }
 
 bool

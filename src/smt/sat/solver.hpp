@@ -19,6 +19,21 @@
  * way, and no watch list is reordered, so the storage has no effect
  * on the search.
  *
+ * Watch lists share one pool too, as Kissat's vectors do: each
+ * literal owns a block of the pool, recorded as {begin, size,
+ * capacity}. A full list moves to a block of twice its capacity, or
+ * grows in place when its block ends the pool; the block it leaves
+ * joins a free list of its size class (capacities are powers of two)
+ * and is handed to the next list that grows to that size. A pool out
+ * of room reserves four times what it needs (kWatchPoolGrowth), so it
+ * is copied less often than by doubling. propagate()
+ * queues each watch it moves to another literal and pushes the queue
+ * in order once the current list is done, so the pool never moves
+ * under the list being walked. A list holds the same watchers in the
+ * same order as a vector per literal would, so the pool has no effect
+ * on the search either, and a solver owns two watch vectors instead
+ * of two per variable.
+ *
  * Acyclicity constraints (addAcyclic) are enforced lazily, in the
  * manner of CAAT ("Consistency as a Theory", Haas et al., OOPSLA
  * 2022): each constraint is a graph of (from, to, literal) edges, and
@@ -40,6 +55,7 @@
 #ifndef GPUMC_SMT_SAT_SOLVER_HPP
 #define GPUMC_SMT_SAT_SOLVER_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
@@ -190,6 +206,11 @@ class Solver {
     size_t arenaWords() const { return arena_.size(); }
     /** Arena words of the clauses still in the database. */
     size_t liveClauseWords() const;
+    /** Slots in the watch pool: live watchers, the spare capacity of
+     *  each list and the blocks on the free lists. */
+    size_t watchPoolSize() const { return watchPool_.size(); }
+    /** Watchers of the clauses still in the database. */
+    size_t liveWatchers() const;
 
   private:
     /** Offset of a clause's header in arena_. */
@@ -205,6 +226,23 @@ class Solver {
         CRef clause = kNoClause;
         Lit blocker;
     };
+    /** The watchers of one literal: watchPool_[begin, begin + size),
+     *  in a block of capacity slots. */
+    struct WatchList {
+        uint32_t begin = 0;
+        uint32_t size = 0;
+        uint32_t capacity = 0;
+    };
+    /** A watch propagate() moved, waiting to join @p list. */
+    struct MovedWatch {
+        Lit list;
+        Watcher watcher;
+    };
+    /** The capacity of a list's first block; every block holds this
+     *  many slots times a power of two. */
+    static constexpr uint32_t kMinWatchCapacity = 4;
+    /** Ends a free list of watch blocks. */
+    static constexpr uint32_t kNoBlock = std::numeric_limits<uint32_t>::max();
 
     // --- clause arena ---------------------------------------------------
     uint32_t clauseSize(CRef c) const
@@ -221,6 +259,28 @@ class Solver {
     /** Copy the live clauses into a fresh arena and relocate every
      *  offset held by watchers, reasons and the clause lists. */
     void compactArena();
+
+    // --- watch pool -----------------------------------------------------
+    /** Append @p w to the watchers visited when @p p becomes true. */
+    void pushWatch(Lit p, Watcher w)
+    {
+        WatchList &wl = watchLists_[p.index()];
+        if (wl.size == wl.capacity)
+            growWatchList(wl);
+        watchPool_[wl.begin + wl.size++] = w;
+    }
+    /** Give a full list twice its capacity, moving it unless its block
+     *  ends the pool. */
+    void growWatchList(WatchList &wl);
+    /** Resize the pool, reserving kWatchPoolGrowth times @p size when
+     *  it runs out of room. */
+    void resizeWatchPool(size_t size);
+    /** Copy every list into a fresh pool, each with the least capacity
+     *  that holds it, and empty the free lists. */
+    void compactWatchPool();
+    /** Append the watches propagate() moved, in the order it moved
+     *  them. */
+    void flushMovedWatches();
 
     // --- internal machinery -------------------------------------------
     LBool value(Lit l) const
@@ -325,7 +385,15 @@ class Solver {
     std::vector<int> trailLim_;
     size_t qhead_ = 0;
 
-    std::vector<std::vector<Watcher>> watches_; // indexed by Lit::index()
+    /** Every watch list's block; see WatchList. */
+    std::vector<Watcher> watchPool_;
+    std::vector<WatchList> watchLists_; // indexed by Lit::index()
+    /** The first free block of each capacity 2^k, at index k; a free
+     *  block's first watcher holds the offset of the next one. */
+    std::array<uint32_t, 32> freeWatchBlocks_;
+    /** Scratch of propagate(): the watches moved off the current
+     *  literal's list. */
+    std::vector<MovedWatch> movedWatches_;
     /**
      * The clause arena: a clause at offset c is
      *   arena_[c].x          size << kFlagBits | dropped | learnt

@@ -9,7 +9,7 @@
  * into one arena; the kernel pins are those since the `acyclic` axioms
  * moved into the solver's acyclicity propagator. Also checks that a
  * long-lived solver whose learned-clause database is reduced many
- * times keeps its clause arena bounded.
+ * times keeps its clause arena and its watch pool bounded.
  */
 
 #include <gtest/gtest.h>
@@ -183,6 +183,29 @@ TEST(ClauseArena, StaysBoundedAcrossGuardedQueries)
         EXPECT_EQ(solver.solve({act}), !unsat) << "query " << query;
         ASSERT_TRUE(solver.addClause({~act}));
         EXPECT_LE(solver.arenaWords(), 2 * solver.liveClauseWords())
+            << "query " << query;
+    }
+    EXPECT_GT(solver.stats().removedClauses, 0u);
+}
+
+TEST(WatchPool, StaysBoundedAcrossGuardedQueries)
+{
+    // The queries of ClauseArena.StaysBoundedAcrossGuardedQueries. A
+    // list keeps the capacity of its largest size, rounded up to a
+    // power of two, and the blocks lists leave wait on free lists for
+    // the next list that grows to their size, so the pool runs ahead
+    // of the live watchers: 6x after the first query, before the pool
+    // is first compacted. reduceDB detaches half the learnt clauses
+    // each time; without compacting the pool behind them, it reached
+    // 17x by the last query and kept growing.
+    Solver solver;
+    for (int query = 0; query < 12; ++query) {
+        const bool unsat = query % 2 == 0;
+        const Lit act = mkLit(solver.newVar());
+        addPigeonhole(solver, unsat ? 8 : 7, 7, ~act);
+        EXPECT_EQ(solver.solve({act}), !unsat) << "query " << query;
+        ASSERT_TRUE(solver.addClause({~act}));
+        EXPECT_LE(solver.watchPoolSize(), 8 * solver.liveWatchers())
             << "query " << query;
     }
     EXPECT_GT(solver.stats().removedClauses, 0u);

@@ -251,24 +251,79 @@ TEST(SessionPool, CheckoutRemovesAndCheckinEvictsLru)
     serve::SessionPool pool(2);
     EXPECT_EQ(pool.checkout(keyOf(1)), nullptr);
 
-    pool.checkin(keyOf(1), std::make_unique<serve::LiveSession>());
-    pool.checkin(keyOf(2), std::make_unique<serve::LiveSession>());
+    EXPECT_EQ(pool.checkin(keyOf(1), std::make_unique<serve::LiveSession>()),
+              nullptr);
+    EXPECT_EQ(pool.checkin(keyOf(2), std::make_unique<serve::LiveSession>()),
+              nullptr);
 
     // checkout removes: a second checkout of the same key misses
     // (concurrent requests never share one live solver).
     std::unique_ptr<serve::LiveSession> session = pool.checkout(keyOf(1));
     EXPECT_NE(session, nullptr);
     EXPECT_EQ(pool.checkout(keyOf(1)), nullptr);
-    pool.checkin(keyOf(1), std::move(session));
+    EXPECT_EQ(pool.checkin(keyOf(1), std::move(session)), nullptr);
 
     // Key 1 is most recent; key 3 evicts key 2.
-    pool.checkin(keyOf(3), std::make_unique<serve::LiveSession>());
+    EXPECT_NE(pool.checkin(keyOf(3), std::make_unique<serve::LiveSession>()),
+              nullptr);
     EXPECT_NE(pool.checkout(keyOf(1)), nullptr);
     EXPECT_EQ(pool.checkout(keyOf(2)), nullptr);
     EXPECT_NE(pool.checkout(keyOf(3)), nullptr);
 
     serve::SessionPool::Counters counters = pool.counters();
     EXPECT_EQ(counters.evictions, 1);
+}
+
+/** A session whose program sets @p destroyed when it is freed. */
+std::unique_ptr<serve::LiveSession>
+trackedSession(bool &destroyed)
+{
+    auto session = std::make_unique<serve::LiveSession>();
+    session->program = std::shared_ptr<const prog::Program>(
+        new prog::Program(), [&destroyed](const prog::Program *program) {
+            destroyed = true;
+            delete program;
+        });
+    return session;
+}
+
+TEST(SessionPool, CheckinHandsBackDisplacedSessionsUndestroyed)
+{
+    // The pool destroys nothing under its lock: a checkin gives the
+    // session it displaces back to the caller, alive.
+    // The flags outlive the pools, which free what they still hold.
+    bool firstGone = false;
+    bool secondGone = false;
+    bool thirdGone = false;
+    bool keptGone = false;
+    serve::SessionPool pool(1);
+    std::unique_ptr<serve::LiveSession> first = trackedSession(firstGone);
+    const prog::Program *firstProgram = first->program.get();
+    EXPECT_EQ(pool.checkin(keyOf(1), std::move(first)), nullptr);
+
+    // Evicted: key 2 pushes key 1 out of a pool of one.
+    std::unique_ptr<serve::LiveSession> evicted =
+        pool.checkin(keyOf(2), trackedSession(secondGone));
+    ASSERT_NE(evicted, nullptr);
+    EXPECT_EQ(evicted->program.get(), firstProgram);
+    EXPECT_FALSE(firstGone);
+    evicted.reset();
+    EXPECT_TRUE(firstGone);
+
+    // Replaced: a second checkin under key 2 keeps the newer session.
+    std::unique_ptr<serve::LiveSession> replaced =
+        pool.checkin(keyOf(2), trackedSession(thirdGone));
+    ASSERT_NE(replaced, nullptr);
+    EXPECT_FALSE(secondGone);
+    replaced.reset();
+    EXPECT_TRUE(secondGone);
+    EXPECT_FALSE(thirdGone);
+    EXPECT_EQ(pool.counters().evictions, 1);
+
+    // A pool of no sessions hands every checkin straight back.
+    serve::SessionPool none(0);
+    EXPECT_NE(none.checkin(keyOf(3), trackedSession(keptGone)), nullptr);
+    EXPECT_TRUE(keptGone);
 }
 
 TEST(SessionKey, ReloadedModelAtRecycledAddressGetsFreshKey)
